@@ -2,12 +2,22 @@
 
 Shared by the class enumerator and the Golay pair search.  Sequences are
 filled pairwise from the outside in: step k fixes positions k and n+1-k
-of every sequence at once (one quad per pair of sequences).  After step k
-the combined correlation at shift n-k is fully determined, so each step
-filters candidates against one exact equation; every other shift is
-bounded by the number of products it still misses, and partial row sums
-are checked against the integer solutions of the square identity the
-completed sequences must satisfy.  All arithmetic is integer.
+of every sequence at once (one quad per pair of sequences).  Each step
+filters the (state, quad combination) candidates in four stages, cheapest
+first, and gathers a state's full data only for the survivors:
+
+1. exact + prefix: after step k the combined correlation at shift n-k is
+   fully determined and must vanish, and each track's canonical-form
+   prefix state machine must accept the new quad;
+2. row sums: the plain and alternating partial row sums must still reach
+   an integer solution of the square identity the completed sequences
+   satisfy, looked up in a table that run_search builds for each level;
+3. correlation bound: every other shift is bounded by the number of
+   products it still misses;
+4. materialisation: only now are the symbol prefixes and prefix states
+   of the survivors gathered into the next block.
+
+All arithmetic is integer.
 
 Quads are held as raw ids 4*left + right, where left/right are the
 column states 0=(+,+) 1=(+,-) 2=(-,+) 3=(-,-); the column state ids
@@ -38,6 +48,8 @@ DD = DOT4[_L[:, None], _L[None, :]] + DOT4[_R[:, None], _R[None, :]]
 SS = DOT4[_L[:, None], _R[None, :]] + DOT4[_L[None, :], _R[:, None]]
 SC = DOT4[_L, _R]
 CENTRE = DOT4[_L] + DOT4[_R]  # (16, 4)
+_DD_FLAT = DD.ravel()  # indexed by 16*a + b
+_SS_FLAT = SS.ravel()
 
 # Per-row sign values of a raw quad's two positions.
 TOP_LEFT = VEC[_L, 0]
@@ -255,15 +267,36 @@ def _bounds(n: int, weight: int) -> np.ndarray:
     return out
 
 
-def _reachable(partial: np.ndarray, solutions: np.ndarray, remaining: int) -> np.ndarray:
-    if not len(solutions):
-        return np.zeros(len(partial), dtype=bool)
-    diff = solutions[None, :, :].astype(np.int16) - partial[:, None, :]
-    ok = (np.abs(diff) <= remaining) & (((diff - remaining) & 1) == 0)
-    return ok.all(axis=2).any(axis=1)
+def _reach_table(n: int, solutions: np.ndarray, remaining: int) -> np.ndarray:
+    """Flat boolean table over partial row-sum vectors, each coordinate in
+    [-n, n], C-ordered.  An entry is True iff some solution s has
+    |s_i - p_i| <= remaining and s_i - p_i = remaining (mod 2) on every
+    coordinate, i.e. the rows can still be completed to s."""
+    table = np.zeros((2 * n + 1,) * solutions.shape[1], dtype=bool)
+    for s in solutions.tolist():
+        box = []
+        for v in s:
+            lo = v - remaining
+            if lo < -n:
+                lo += (-n - lo + 1) // 2 * 2
+            hi = min(v + remaining, n)
+            if lo > hi:
+                break
+            box.append(slice(lo + n, hi + n + 1, 2))
+        else:
+            table[tuple(box)] = True
+    return table.ravel()
+
+
+def _row_strides(n: int, rows: int) -> np.ndarray:
+    """Weights that turn a row-sum vector into its offset in a reach table."""
+    return (2 * n + 1) ** np.arange(rows - 1, -1, -1, dtype=np.int32)
 
 
 class _Block:
+    """A chunk of search states.  plain and alt hold each state's plain and
+    alternating row-sum vectors as flat reach-table indices."""
+
     __slots__ = ("p", "syms", "fst", "plain", "alt")
 
     def __init__(self, p, syms, fst, plain, alt):
@@ -282,17 +315,28 @@ class _Block:
             self.alt[idx],
         )
 
+    @staticmethod
+    def concat(blocks: list[_Block]) -> _Block:
+        return _Block(
+            np.concatenate([b.p for b in blocks]),
+            [np.concatenate(parts) for parts in zip(*(b.syms for b in blocks))],
+            np.concatenate([b.fst for b in blocks]),
+            np.concatenate([b.plain for b in blocks]),
+            np.concatenate([b.alt for b in blocks]),
+        )
+
     def __len__(self):
         return len(self.p)
 
 
 def _root(n: int, tracks, rows: int) -> _Block:
+    origin = np.array([n * int(_row_strides(n, rows).sum())], dtype=np.int32)
     return _Block(
         np.zeros((1, n), dtype=np.int16),
         [np.zeros((1, 0), dtype=np.int8) for _ in tracks],
         np.array([[t.start_state for t in tracks]], dtype=np.int8),
-        np.zeros((1, rows), dtype=np.int16),
-        np.zeros((1, rows), dtype=np.int16),
+        origin,
+        origin.copy(),
     )
 
 
@@ -301,9 +345,28 @@ def _combo_grid(alphabets: list[np.ndarray]) -> list[np.ndarray]:
     return [g.reshape(-1).astype(np.int8) for g in grids]
 
 
-def _expand(block: _Block, n: int, k: int, tracks, bounds, solutions) -> _Block | None:
+def _row_sum_deltas(units, tracks, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per combo, the reach-table offsets that placing pair k adds to the
+    plain and the alternating row sums."""
+    sign_left = 1 if k % 2 else -1          # position k
+    sign_right = 1 if (n - k) % 2 == 0 else -1  # position n+1-k
+    plain, alt = [], []
+    for u, track in zip(units, tracks):
+        halves = [(TOP_LEFT[u], TOP_RIGHT[u])]
+        if track.pair_rows == 2:
+            halves.append((BOT_LEFT[u], BOT_RIGHT[u]))
+        for left, right in halves:
+            plain.append(left + right)
+            alt.append(sign_left * left + sign_right * right)
+    strides = _row_strides(n, len(plain))
+    return np.stack(plain, axis=1) @ strides, np.stack(alt, axis=1) @ strides
+
+
+def _expand(block: _Block, n: int, k: int, tracks, bounds, reach) -> _Block | None:
     """Place pair k (1-based) on every state of the block and keep the
-    survivors of the exact, bound and row-sum checks."""
+    survivors of the exact, row-sum and bound checks, in that order; only
+    the survivors of each check are carried into the next.  reach is the
+    level's table from _reach_table(n, solutions, n - 2k)."""
     alphas = [t.first if k == 1 else t.alphabet for t in tracks]
     units = _combo_grid(alphas)
 
@@ -316,65 +379,51 @@ def _expand(block: _Block, n: int, k: int, tracks, bounds, solutions) -> _Block 
         mask = value == 0
     else:
         value = block.p[:, n - k][:, None] + sum(
-            SS[block.syms[t][:, 0][:, None], units[t][None, :]]
-            for t in range(len(tracks))
+            SS[:, u][block.syms[t][:, 0]] for t, u in enumerate(units)
         )
         mask = value == 0
         for t, track in enumerate(tracks):
-            mask &= track.allow[block.fst[:, t][:, None], units[t][None, :]]
-
+            mask &= track.allow[:, units[t]][block.fst[:, t]]
     rows_idx, combo_idx = np.nonzero(mask)
-    if not len(rows_idx):
-        return None
 
+    # Row sums, plain and alternating: both must still reach a solution of
+    # the square identity with the n - 2k positions left in each row.
+    d_plain, d_alt = _row_sum_deltas(units, tracks, n, k)
+    plain = block.plain[rows_idx] + d_plain[combo_idx]
+    alt = block.alt[rows_idx] + d_alt[combo_idx]
+    keep = np.nonzero(reach[plain] & reach[alt])[0]
+    if not len(keep):
+        return None
+    rows_idx, combo_idx = rows_idx[keep], combo_idx[keep]
+    plain, alt = plain[keep], alt[keep]
+
+    # Correlation bound on every shift, after adding the new products.
     selected = [u[combo_idx] for u in units]
     p_new = block.p[rows_idx]
-    syms_new = []
-    fst_new = np.empty((len(rows_idx), len(tracks)), dtype=np.int8)
-    for t, track in enumerate(tracks):
+    for t in range(len(tracks)):
         u = selected[t]
-        prior = block.syms[t][rows_idx]
         for j in range(1, k):
-            pj = prior[:, j - 1]
-            p_new[:, k - j] += DD[pj, u]
-            p_new[:, n + 1 - j - k] += SS[pj, u]
+            pair = 16 * block.syms[t][rows_idx, j - 1].astype(np.intp) + u
+            p_new[:, k - j] += _DD_FLAT[pair]
+            p_new[:, n + 1 - j - k] += _SS_FLAT[pair]
         p_new[:, n + 1 - 2 * k] += SC[u]
-        syms_new.append(np.concatenate([prior, u[:, None]], axis=1))
-        fst_new[:, t] = track.trans[block.fst[rows_idx, t], u]
+    keep = np.nonzero((np.abs(p_new[:, 1:]) <= bounds[k][1:]).all(axis=1))[0]
+    if not len(keep):
+        return None
+    if len(keep) < len(rows_idx):
+        rows_idx, p_new, plain, alt = rows_idx[keep], p_new[keep], plain[keep], alt[keep]
+        selected = [u[keep] for u in selected]
 
-    # Row sums, plain and alternating.
-    plain_new = block.plain[rows_idx].copy()
-    alt_new = block.alt[rows_idx].copy()
-    sign_left = 1 if k % 2 else -1          # position k
-    sign_right = 1 if (n - k) % 2 == 0 else -1  # position n+1-k
-    row = 0
-    for t, track in enumerate(tracks):
-        u = selected[t]
-        plain_new[:, row] += TOP_LEFT[u] + TOP_RIGHT[u]
-        alt_new[:, row] += sign_left * TOP_LEFT[u] + sign_right * TOP_RIGHT[u]
-        row += 1
-        if track.pair_rows == 2:
-            plain_new[:, row] += BOT_LEFT[u] + BOT_RIGHT[u]
-            alt_new[:, row] += sign_left * BOT_LEFT[u] + sign_right * BOT_RIGHT[u]
-            row += 1
-
-    keep = (np.abs(p_new[:, 1:]) <= bounds[k][1:]).all(axis=1)
-    remaining = n - 2 * k
-    if remaining < n:
-        keep &= _reachable(plain_new, solutions, remaining)
-        keep &= _reachable(alt_new, solutions, remaining)
-    if not keep.all():
-        idx = np.nonzero(keep)[0]
-        if not len(idx):
-            return None
-        return _Block(
-            p_new[idx],
-            [s[idx] for s in syms_new],
-            fst_new[idx],
-            plain_new[idx],
-            alt_new[idx],
-        )
-    return _Block(p_new, syms_new, fst_new, plain_new, alt_new)
+    # Materialise the survivors: symbol prefixes and prefix states.
+    syms_new = [
+        np.concatenate([block.syms[t][rows_idx], selected[t][:, None]], axis=1)
+        for t in range(len(tracks))
+    ]
+    fst_new = np.stack(
+        [track.trans[block.fst[rows_idx, t], selected[t]] for t, track in enumerate(tracks)],
+        axis=1,
+    )
+    return _Block(p_new, syms_new, fst_new, plain, alt)
 
 
 def _central_leaves(block: _Block, n: int, tracks) -> list[dict]:
@@ -456,30 +505,19 @@ def run_search(
     blocks = [_root(n, tracks, rows)]
     leaves: list[dict] = []
     for k in range(1, m + 1):
+        reach = _reach_table(n, solutions, n - 2 * k)
         nxt: list[_Block] = []
         for block in blocks:
             for lo in range(0, len(block), chunk):
                 piece = block.take(slice(lo, lo + chunk))
-                expanded = _expand(piece, n, k, tracks, bounds, solutions)
+                expanded = _expand(piece, n, k, tracks, bounds, reach)
                 if expanded is not None:
                     nxt.append(expanded)
         blocks = nxt
-        if k == split_level and shard_count > 1:
-            total = sum(len(b) for b in blocks)
-            merged = _Block(
-                np.concatenate([b.p for b in blocks]) if blocks else np.zeros((0, n), np.int16),
-                [
-                    np.concatenate([b.syms[t] for b in blocks])
-                    if blocks
-                    else np.zeros((0, k), np.int8)
-                    for t in range(len(tracks))
-                ],
-                np.concatenate([b.fst for b in blocks]) if blocks else np.zeros((0, len(tracks)), np.int8),
-                np.concatenate([b.plain for b in blocks]) if blocks else np.zeros((0, rows), np.int16),
-                np.concatenate([b.alt for b in blocks]) if blocks else np.zeros((0, rows), np.int16),
-            )
+        if k == split_level and blocks:
+            merged = _Block.concat(blocks)
             del blocks
-            keep = np.arange(shard_index, total, shard_count)
+            keep = np.arange(shard_index, len(merged), shard_count)
             blocks = [merged.take(keep)] if len(keep) else []
         if not blocks:
             break

@@ -23,15 +23,22 @@ USAGE_ERROR = 2
 
 
 def _threads(value: int | None) -> int:
+    """Worker count from --threads, else NSQ_THREADS (unset or empty: 1).
+    Anything but a positive integer is a usage error."""
     if value is not None:
-        return max(1, value)
+        if value < 1:
+            raise ValueError(f"--threads must be a positive integer, got {value}")
+        return value
     env = os.environ.get("NSQ_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"NSQ_THREADS must be a positive integer, got {env!r}")
+    return workers
 
 
 def _cmd_search(args) -> int:
@@ -155,7 +162,7 @@ def _cmd_golay(args) -> int:
 def _cmd_diff(args) -> int:
     diff = diff_against_search(args.n, workers=_threads(args.threads))
     allow = load_allowlist(args.allowlist) if args.allowlist else load_allowlist()
-    known = (args.n, 1, "search-match") in allow
+    known = any(n == args.n and check == "search-match" for n, _, check in allow)
     if diff.identical:
         print(f"n={args.n}: search output matches the reference rows")
         return 0

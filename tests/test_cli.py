@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nsq.cli import main
 from nsq.search import enumerate_classes
 
@@ -125,6 +127,21 @@ class TestVerification:
         assert code == 0
         assert "known discrepancy" in out
 
+    def test_diff_tables_allowlist_matches_any_row(self, capsys, tmp_path):
+        allow = tmp_path / "allow.txt"
+        allow.write_text("2;7;search-match\n")
+        code, out, _ = run(capsys, "diff-tables", "--n", "2", "--allowlist", str(allow))
+        assert code == 0
+        assert "known discrepancy" in out
+
+    def test_diff_tables_fails_without_allowlist_entry(self, capsys, tmp_path):
+        allow = tmp_path / "allow.txt"
+        allow.write_text("2;1;canonical\n3;1;search-match\n")
+        code, out, _ = run(capsys, "diff-tables", "--n", "2", "--allowlist", str(allow))
+        assert code == 1
+        assert "only in search: 1 6" in out
+        assert "known discrepancy" not in out
+
 
 class TestGolayCommand:
     def test_pair_listing(self, capsys):
@@ -153,6 +170,32 @@ class TestEnvThreads:
         monkeypatch.delenv("NSQ_THREADS")
         _, serial, _ = run(capsys, "search", "--n", "9")
         assert out == serial
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
+    def test_invalid_env_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("NSQ_THREADS", value)
+        code, out, err = run(capsys, "search", "--n", "9")
+        assert code == 2 and out == ""
+        assert "NSQ_THREADS" in err and repr(value) in err
+
+    def test_flag_takes_precedence_over_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("NSQ_THREADS", "two")
+        code, out, _ = run(capsys, "search", "--n", "4", "--threads", "1")
+        assert code == 0 and out.startswith("1 16 61")
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("command", [
+        ("search", "--n", "9"),
+        ("summary", "--from", "1", "--to", "2"),
+        ("golay", "--n", "4"),
+        ("diff-tables", "--n", "4"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_is_usage_error(self, capsys, command, value):
+        code, out, err = run(capsys, *command, "--threads", value)
+        assert code == 2 and out == ""
+        assert f"--threads must be a positive integer, got {value}" in err
 
 
 class TestEntryPoint:

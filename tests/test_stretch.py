@@ -1,16 +1,14 @@
-"""Stretch-length searches, excluded by default (run with `pytest -m slow`).
+"""Stretch-length searches past the range of the reference representatives.
 
-Confirms by exhaustion that no classes exist at lengths 21 and 22; about
-one and two minutes respectively on two cores.  Lengths beyond 22 grow
-steeply (23 already needs tens of core-minutes) and are left to manual
-runs of `nsq search --n <N>`."""
+Confirms by exhaustion that no classes exist at lengths 21 and 22; a few
+seconds each on two cores.  Lengths beyond 22 grow steeply and are left to
+manual runs of `nsq search --n <N>`."""
 
 import pytest
 
 from nsq.search import enumerate_classes
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("n", [21, 22])
 def test_searched_emptiness_at_stretch_lengths(n):
     assert enumerate_classes(n) == []
