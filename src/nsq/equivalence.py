@@ -1,10 +1,19 @@
 """The nine involutive generators of the equivalence, orbit enumeration,
 the twelve-condition canonical form, and Golay-type detection.
 
-Canonicalisation deliberately enumerates the whole orbit (at most 512
-members) and filters by the canonical predicate: the orbit route is
-obviously correct and verifies the one-canonical-member-per-orbit
-uniqueness claim on every call.
+Canonicalisation enumerates the whole orbit (at most 512 members) and
+raises CanonicalFormError unless exactly one member is canonical, on every
+orbit it meets.  The orbit is a staged product: each generator in _STAGES
+acts once on the set built so far, 511 applications at most.  That is the
+whole orbit because the group is H.<alt> with H = <swap>.N.<quad45>, N
+being the six commuting negations and reversals: the quad 4<->5 swap and
+the C/D swap normalise N, and the alternation normalises H.  These
+relations hold whenever (C;D) cuts into the eight labelled quads, as in
+every normal quadruple.  The scan runs the twelve conditions only on the
+members that pass (i) and (vi) on the first quads, a necessary check, so
+the count of canonical members stays exact.  Orbits and their canonical
+members live in two maps that are cleared together before they would
+hold more than _CACHE_MEMBERS members.
 """
 
 from __future__ import annotations
@@ -122,6 +131,15 @@ _RAW_APPLIERS = {
 }
 _APPLIER_LIST = tuple(_RAW_APPLIERS[t] for t in TRANSFORMS)
 
+# Staged-product order (composed right to left: swap . rev . neg . quad45
+# . alt), costliest first so that it acts on the fewest members.
+_STAGES = (
+    _apply_alternate, _apply_quad_swap,
+    _apply_negate_aa, _apply_negate_c, _apply_negate_d,
+    _apply_reverse_aa, _apply_reverse_c, _apply_reverse_d,
+    _apply_swap_cd,
+)
+
 
 def apply_raw(transform: Transform, raw: Raw) -> Raw:
     return _RAW_APPLIERS[transform](raw)
@@ -132,28 +150,24 @@ def apply(transform: Transform, quad: NormalQuadruple) -> NormalQuadruple:
     return NormalQuadruple.from_raw(apply_raw(transform, quad.raw()))
 
 
-_ORBIT_CACHE: dict[Raw, frozenset[Raw]] = {}
-_CANON_CACHE: dict[Raw, Raw] = {}
+# Bound on the members the orbit cache holds: about 32 full orbits.
+_CACHE_MEMBERS = 1 << 14
+_ORBIT_OF: dict[Raw, frozenset[Raw]] = {}
+_WINNER_OF: dict[frozenset[Raw], Raw] = {}
 
 
 def orbit_raw(raw: Raw) -> frozenset[Raw]:
-    cached = _ORBIT_CACHE.get(raw)
-    if cached is not None:
-        return cached
-    seen = {raw}
-    frontier = [raw]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for fn in _APPLIER_LIST:
-                image = fn(state)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    members = frozenset(seen)
-    for member in members:
-        _ORBIT_CACHE[member] = members
+    members = _ORBIT_OF.get(raw)
+    if members is not None:
+        return members
+    staged = {raw}
+    for fn in _STAGES:
+        staged.update([fn(state) for state in staged])
+    members = frozenset(staged)
+    if len(_ORBIT_OF) + len(members) > _CACHE_MEMBERS:
+        _ORBIT_OF.clear()
+        _WINNER_OF.clear()
+    _ORBIT_OF.update(dict.fromkeys(members, members))
     return members
 
 
@@ -268,20 +282,38 @@ def is_canonical(quad: NormalQuadruple) -> bool:
     return canonical_violation(quad) is None
 
 
+def _may_be_canonical(raw: Raw) -> bool:
+    """Conditions (i) and (vi) on the first quads: p_1 is 1 (or 6 for odd
+    n) and q_1 is 1 or 6.  Necessary for the canonical form, read straight
+    off the end terms."""
+    a, c, d = raw
+    if len(a) == 1:
+        return True
+    return (
+        a[0] == 1
+        and (len(a) % 2 == 1 or a[-1] == 1)
+        and c[0] == 1
+        and d[0] == 1
+        and c[-1] == d[-1]
+    )
+
+
 def canonical_raw(raw: Raw) -> Raw:
-    cached = _CANON_CACHE.get(raw)
-    if cached is not None:
-        return cached
     members = orbit_raw(raw)
-    canonical = [r for r in members if _violation_raw(r) is None]
+    winner = _WINNER_OF.get(members)
+    if winner is not None:
+        return winner
+    canonical = [
+        r for r in members if _may_be_canonical(r) and _violation_raw(r) is None
+    ]
     if len(canonical) != 1:
+        # a (C;D) side outside the eight quads fails as the full scan would
+        _codes_of_raw(raw)
         raise CanonicalFormError(
             f"orbit of size {len(members)} has {len(canonical)} canonical members,"
             " expected exactly one"
         )
-    winner = canonical[0]
-    for member in members:
-        _CANON_CACHE[member] = winner
+    winner = _WINNER_OF[members] = canonical[0]
     return winner
 
 

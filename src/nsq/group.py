@@ -157,10 +157,6 @@ class RelationCheck:
     detail: str = ""
 
 
-def _word_power(word: tuple[Transform, ...], exponent: int) -> tuple[Transform, ...]:
-    return word * exponent
-
-
 def _relations(n: int):
     """The stated defining relations as (name, lhs word, rhs word).
 
@@ -201,32 +197,26 @@ def _relations(n: int):
         (
             "alternate o reverse_c o alternate = reverse_c o negate_c^(n-1)",
             (alt, rev_c, alt),
-            (rev_c,) + _word_power((neg_c,), e),
+            (rev_c,) + (neg_c,) * e,
         ),
         (
             "alternate o reverse_d o alternate = reverse_d o negate_d^(n-1)",
             (alt, rev_d, alt),
-            (rev_d,) + _word_power((neg_d,), e),
+            (rev_d,) + (neg_d,) * e,
         ),
         (
             "alternate o quad_swap_45 o alternate = quad_swap_45 o swap_cd^(n-1)",
             (alt, quad45, alt),
-            (quad45,) + _word_power((swap,), e),
+            (quad45,) + (swap,) * e,
         ),
     ]
     conjectured = (
         "alternate o reverse_aa o alternate = reverse_aa o negate_aa^(n-1)"
         " [replacement for the garbled reverse_aa relation]",
         (alt, rev_aa, alt),
-        (rev_aa,) + _word_power((neg_aa,), e),
+        (rev_aa,) + (neg_aa,) * e,
     )
     return rel, conjectured
-
-
-def _apply_word(word: tuple[Transform, ...], raw: Raw) -> Raw:
-    for t in reversed(word):
-        raw = apply_raw(t, raw)
-    return raw
 
 
 def _relation_samples(n: int, cases: int, seed: int) -> list[Raw]:
@@ -254,19 +244,17 @@ def verify_relations(n: int, cases: int = 200, seed: int = 5417) -> list[Relatio
         raise ValueError("n must be at least 1")
     samples = _relation_samples(n, cases, seed)
     stated, conjectured = _relations(n)
-    out = []
-    for name, lhs, rhs in stated:
-        bad = next(
-            (s for s in samples if _apply_word(lhs, s) != _apply_word(rhs, s)), None
-        )
-        out.append(
-            RelationCheck(
-                name,
-                n,
-                "PASS" if bad is None else "FAIL",
-                "" if bad is None else f"counterexample {bad}",
-            )
-        )
+
+    def check(
+        name: str, lhs: tuple[Transform, ...], rhs: tuple[Transform, ...]
+    ) -> RelationCheck:
+        left, right = GroupElement(lhs), GroupElement(rhs)
+        bad = next((s for s in samples if left.act_raw(s) != right.act_raw(s)), None)
+        if bad is None:
+            return RelationCheck(name, n, "PASS")
+        return RelationCheck(name, n, "FAIL", f"counterexample {bad}")
+
+    out = [check(*relation) for relation in stated]
     out.append(
         RelationCheck(
             "alternate o reverse_aa o alternate = reverse_aa o (negate_aa sigma_1)^(n-1)",
@@ -275,16 +263,7 @@ def verify_relations(n: int, cases: int = 200, seed: int = 5417) -> list[Relatio
             "contains an undefined factor; see the replacement check",
         )
     )
-    name, lhs, rhs = conjectured
-    bad = next((s for s in samples if _apply_word(lhs, s) != _apply_word(rhs, s)), None)
-    out.append(
-        RelationCheck(
-            name,
-            n,
-            "PASS" if bad is None else "FAIL",
-            "" if bad is None else f"counterexample {bad}",
-        )
-    )
+    out.append(check(*conjectured))
     return out
 
 
@@ -305,28 +284,9 @@ def symmetry_types_preserved(n: int, cases: int = 100, seed: int = 90210) -> boo
     """The quad-wise generators preserve each quad's symmetry type; the
     alternation does too when n is odd."""
     from .core import BinarySeq
-    from .quadcodec import AA_QUADS, QuadCode, compose_pair, decompose_pair, symmetry_type
+    from .quadcodec import decompose_pair, symmetry_type
 
     rng = random.Random(seed + n)
-    m = n // 2
-    aa_quads = sorted(AA_QUADS)
-
-    def random_raw() -> Raw:
-        # Build the pairs from random codes so every quad is one of the
-        # eight labelled matrices (only those carry a symmetry type).
-        p = QuadCode(
-            tuple(rng.choice(aa_quads) for _ in range(m)),
-            rng.choice((0, 3)) if n % 2 else None,
-            "aa",
-        )
-        q = QuadCode(
-            tuple(rng.randrange(1, 9) for _ in range(m)),
-            rng.randrange(4) if n % 2 else None,
-            "cd",
-        )
-        a, _ = compose_pair(p)
-        c, d = compose_pair(q)
-        return (a.terms, c.terms, d.terms)
 
     quadwise = [t for t in TRANSFORMS if t is not Transform.ALTERNATE_ALL]
     if n % 2 == 1:
@@ -341,7 +301,9 @@ def symmetry_types_preserved(n: int, cases: int = 100, seed: int = 90210) -> boo
         )
 
     for _ in range(cases):
-        raw = random_raw()
+        # every quad is one of the eight labelled matrices (only those
+        # carry a symmetry type)
+        raw = _random_quad_regular(n, rng)
         before = types(raw)
         for t in quadwise:
             if types(apply_raw(t, raw)) != before:

@@ -41,22 +41,6 @@ SKEW_QUADS = frozenset({3, 4, 5, 6})
 AA_QUADS = frozenset({1, 3, 6, 8})
 AA_CENTRALS = frozenset({0, 3})
 
-# Symbol-level images of the sequence-level transforms.  Keeping these as
-# lookup tables makes orbit enumeration allocation-free at the code level.
-NEGATE_BOTH = {1: 8, 2: 7, 3: 6, 4: 5, 5: 4, 6: 3, 7: 2, 8: 1}
-NEGATE_TOP = {1: 7, 2: 8, 3: 4, 4: 3, 5: 6, 6: 5, 7: 1, 8: 2}
-NEGATE_BOTTOM = {1: 2, 2: 1, 3: 5, 4: 6, 5: 3, 6: 4, 7: 8, 8: 7}
-SWAP_ROWS = {1: 1, 2: 7, 3: 3, 4: 5, 5: 4, 6: 6, 7: 2, 8: 8}
-SWAP_COLS = {1: 1, 2: 2, 3: 6, 4: 5, 5: 4, 6: 3, 7: 7, 8: 8}
-REVERSE_TOP = {1: 1, 2: 2, 3: 4, 4: 3, 5: 6, 6: 5, 7: 7, 8: 8}
-REVERSE_BOTTOM = {1: 1, 2: 2, 3: 5, 4: 6, 5: 3, 6: 4, 7: 7, 8: 8}
-SWAP_45 = {1: 1, 2: 2, 3: 3, 4: 5, 5: 4, 6: 6, 7: 7, 8: 8}
-
-CENTRAL_NEGATE_BOTH = {0: 3, 1: 2, 2: 1, 3: 0}
-CENTRAL_NEGATE_TOP = {0: 2, 1: 3, 2: 0, 3: 1}
-CENTRAL_NEGATE_BOTTOM = {0: 1, 1: 0, 2: 3, 3: 2}
-CENTRAL_SWAP_ROWS = {0: 0, 1: 2, 2: 1, 3: 3}
-
 
 def symmetry_type(quad: int) -> str:
     """'symmetric' when the two columns agree, 'skew' otherwise."""

@@ -130,7 +130,7 @@ def test_criterion_4_emptiness():
 
 def test_criterion_5_brute_force_oracle():
     def body():
-        for n in range(1, 9):
+        for n in range(1, 11):
             members = exhaustive_normal_quadruples(n)
             for raw in members:
                 assert is_normal(NormalQuadruple.from_raw(raw))
@@ -151,7 +151,7 @@ def test_criterion_5_brute_force_oracle():
             }
             assert set(exhaustive_normal_quadruples(n)) == literal
 
-    _verdict(5, "brute-force oracle n<=8", body)
+    _verdict(5, "brute-force oracle n<=10", body)
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,8 @@ from nsq.equivalence import (
     orbit,
     orbit_raw,
 )
-from nsq.quadcodec import (
+from nsq.quadcodec import decode_quadruple, encode_quadruple, parse_code
+from test_quadcodec import (
     CENTRAL_NEGATE_BOTH,
     CENTRAL_NEGATE_TOP,
     CENTRAL_SWAP_ROWS,
@@ -25,10 +26,6 @@ from nsq.quadcodec import (
     REVERSE_TOP,
     SWAP_45,
     SWAP_ROWS,
-    decode_quadruple,
-    decompose_pair,
-    encode_quadruple,
-    parse_code,
 )
 
 
@@ -196,8 +193,8 @@ class TestGolayType:
 
 
 class TestCodeLevelAgreement:
-    """The sequence-level generators act symbol-wise through the
-    precomputed tables."""
+    """The sequence-level generators act symbol-wise as the oracle tables
+    in test_quadcodec say."""
 
     def test_symbol_maps_match(self, valid_pool, rng):
         for raw in rng.sample(valid_pool, 120):

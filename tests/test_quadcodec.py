@@ -7,21 +7,9 @@ from nsq.quadcodec import (
     AA_CENTRALS,
     AA_QUADS,
     CENTRAL_COLUMNS,
-    CENTRAL_NEGATE_BOTH,
-    CENTRAL_NEGATE_BOTTOM,
-    CENTRAL_NEGATE_TOP,
-    CENTRAL_SWAP_ROWS,
     CodeError,
-    NEGATE_BOTH,
-    NEGATE_BOTTOM,
-    NEGATE_TOP,
     QUAD_MATRICES,
     QuadCode,
-    REVERSE_BOTTOM,
-    REVERSE_TOP,
-    SWAP_45,
-    SWAP_COLS,
-    SWAP_ROWS,
     compose_pair,
     decode_quadruple,
     decompose_pair,
@@ -31,6 +19,21 @@ from nsq.quadcodec import (
     symmetry_type,
 )
 
+# Oracle data: symbol-level images of the sequence-level transforms, as
+# maps on quad labels and on central-column labels.
+NEGATE_BOTH = {1: 8, 2: 7, 3: 6, 4: 5, 5: 4, 6: 3, 7: 2, 8: 1}
+NEGATE_TOP = {1: 7, 2: 8, 3: 4, 4: 3, 5: 6, 6: 5, 7: 1, 8: 2}
+NEGATE_BOTTOM = {1: 2, 2: 1, 3: 5, 4: 6, 5: 3, 6: 4, 7: 8, 8: 7}
+SWAP_ROWS = {1: 1, 2: 7, 3: 3, 4: 5, 5: 4, 6: 6, 7: 2, 8: 8}
+SWAP_COLS = {1: 1, 2: 2, 3: 6, 4: 5, 5: 4, 6: 3, 7: 7, 8: 8}
+REVERSE_TOP = {1: 1, 2: 2, 3: 4, 4: 3, 5: 6, 6: 5, 7: 7, 8: 8}
+REVERSE_BOTTOM = {1: 1, 2: 2, 3: 5, 4: 6, 5: 3, 6: 4, 7: 7, 8: 8}
+SWAP_45 = {1: 1, 2: 2, 3: 3, 4: 5, 5: 4, 6: 6, 7: 7, 8: 8}
+
+CENTRAL_NEGATE_BOTH = {0: 3, 1: 2, 2: 1, 3: 0}
+CENTRAL_NEGATE_TOP = {0: 2, 1: 3, 2: 0, 3: 1}
+CENTRAL_NEGATE_BOTTOM = {0: 1, 1: 0, 2: 3, 3: 2}
+CENTRAL_SWAP_ROWS = {0: 0, 1: 2, 2: 1, 3: 3}
 
 class TestDecompose:
     def test_repeated_pair_example(self):
