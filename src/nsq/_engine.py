@@ -21,11 +21,16 @@ All arithmetic is integer.
 
 Quads are held as raw ids 4*left + right, where left/right are the
 column states 0=(+,+) 1=(+,-) 2=(-,+) 3=(-,-); the column state ids
-coincide with the central-column labels of the text codes.
+coincide with the central-column labels of the text codes.  This module
+is the only one that knows the raw ids or runs worker processes:
+search_normal and search_golay split a search into shards over one
+process pool when asked to, and hand back plain +1/-1 sign rows
+(see _sign_rows), never raw ids.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -57,12 +62,8 @@ TOP_RIGHT = VEC[_R, 0]
 BOT_LEFT = VEC[_L, 1]
 BOT_RIGHT = VEC[_R, 1]
 
-# Text-code label <-> raw id for the eight recognised quads.
-SYMBOL_TO_RAW = {1: 0, 2: 5, 3: 12, 4: 6, 5: 9, 6: 3, 7: 10, 8: 15}
-RAW_TO_SYMBOL = {raw: sym for sym, raw in SYMBOL_TO_RAW.items()}
-
 _AA_RAWS = (0, 12, 3, 15)  # labels 1, 3, 6, 8
-_CD_RAWS = tuple(SYMBOL_TO_RAW[s] for s in range(1, 9))
+_CD_RAWS = (0, 5, 12, 6, 9, 3, 10, 15)  # labels 1..8, in order
 # Raw ids whose columns are orthogonal; these are the only quads a pair
 # with identically vanishing combined correlation can contain.
 ORTHOGONAL_RAWS = tuple(int(i) for i in range(16) if DOT4[_L[i], _R[i]] == 0)
@@ -493,7 +494,7 @@ def run_search(
     """Enumerate every completed assignment; returns stacked symbol arrays.
 
     shard=(i, w) deterministically keeps every w-th state of the level-3
-    frontier, so w workers started with i = 0..w-1 partition the search.
+    frontier, so the w shards i = 0..w-1 partition the search.
     """
     m = n // 2
     rows = sum(t.pair_rows for t in tracks)
@@ -537,11 +538,52 @@ def run_search(
     return _merge_leaves(leaves, tracks, n)
 
 
-def search_normal(n: int, shard: tuple[int, int] = (0, 1)) -> dict:
-    """All canonical-form candidates for NS(n), as raw symbol arrays."""
-    return run_search(n, ns_tracks(n), ns_solutions(n), shard=shard)
+# Searches shorter than this run in-process whatever the worker count:
+# they take milliseconds, less than starting a pool.
+POOL_MIN_N = 10
 
 
-def search_golay(n: int, shard: tuple[int, int] = (0, 1)) -> dict:
-    """All ordered pairs with identically vanishing combined correlation."""
-    return run_search(n, golay_tracks(n), golay_solutions(n), shard=shard)
+def _shard(n: int, tracks_of, solutions_of, index: int, total: int) -> dict:
+    return run_search(n, tracks_of(n), solutions_of(n), shard=(index, total))
+
+
+def _sign_rows(leaves: dict, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per track, the top and bottom +1/-1 rows (one per leaf, shape
+    (leaves, n)) that the raw quads and, for odd n, the centrals spell."""
+    m = n // 2
+    out = []
+    for t, syms in enumerate(leaves["syms"]):
+        top = np.empty((len(syms), n), dtype=np.int8)
+        bottom = np.empty_like(top)
+        top[:, :m], top[:, n - m:] = TOP_LEFT[syms], TOP_RIGHT[syms][:, ::-1]
+        bottom[:, :m], bottom[:, n - m:] = BOT_LEFT[syms], BOT_RIGHT[syms][:, ::-1]
+        if n % 2:
+            top[:, m], bottom[:, m] = VEC[leaves["centrals"][t]].T
+        out.append((top, bottom))
+    return out
+
+
+def _search(n: int, tracks_of, solutions_of, workers: int):
+    """The sign rows of every leaf, searched in this process or split
+    into workers * 4 shards over one pool of workers processes."""
+    tracks = tracks_of(n)
+    if workers > 1 and n >= POOL_MIN_N:
+        shards = workers * 4
+        jobs = [(n, tracks_of, solutions_of, i, shards) for i in range(shards)]
+        with multiprocessing.Pool(workers) as pool:
+            leaves = _merge_leaves(pool.starmap(_shard, jobs), tracks, n)
+    else:
+        leaves = run_search(n, tracks, solutions_of(n))
+    return _sign_rows(leaves, n)
+
+
+def search_normal(n: int, workers: int = 1):
+    """All canonical-form candidates for NS(n) as sign rows:
+    [(A, A), (C, D)], one row per candidate in each array."""
+    return _search(n, ns_tracks, ns_solutions, workers)
+
+
+def search_golay(n: int, workers: int = 1):
+    """All ordered pairs with identically vanishing combined correlation,
+    as sign rows [(A, B)], one row per pair in each array."""
+    return _search(n, golay_tracks, golay_solutions, workers)

@@ -6,10 +6,7 @@ identically zero, so one pruning core backs both enumerations."""
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _engine
 from .core import BinarySeq, NormalQuadruple, alternate, negate, npaf, reverse
@@ -43,49 +40,17 @@ class GolayPair:
         return len(self.a)
 
 
-def _pairs_from_leaves(leaves: dict, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    syms = leaves["syms"][0]
-    centrals = leaves["centrals"][0] if leaves["centrals"] is not None else None
-    count = len(syms)
-    m = n // 2
-    top = np.zeros((count, n), dtype=np.int8)
-    bottom = np.zeros((count, n), dtype=np.int8)
-    for j in range(m):
-        col = syms[:, j]
-        top[:, j] = _engine.TOP_LEFT[col]
-        top[:, n - 1 - j] = _engine.TOP_RIGHT[col]
-        bottom[:, j] = _engine.BOT_LEFT[col]
-        bottom[:, n - 1 - j] = _engine.BOT_RIGHT[col]
-    if centrals is not None:
-        top[:, m] = _engine.VEC[centrals, 0]
-        bottom[:, m] = _engine.VEC[centrals, 1]
-    return [
-        (tuple(top[i].tolist()), tuple(bottom[i].tolist())) for i in range(count)
-    ]
-
-
-def _golay_worker(args: tuple[int, int, int]):
-    n, index, total = args
-    return _pairs_from_leaves(_engine.search_golay(n, shard=(index, total)), n)
-
-
-def golay_pairs(n: int, workers: int = 1, max_exhaustive: int = MAX_EXHAUSTIVE) -> list[GolayPair]:
+def golay_pairs(n: int, workers: int = 1) -> list[GolayPair]:
     """All ordered Golay pairs of length n, exhaustively."""
     if n < 1:
         raise GolayError("n must be at least 1")
-    if n > max_exhaustive:
+    if n > MAX_EXHAUSTIVE:
         raise GolayError(
-            f"exhaustive pair search is budgeted up to n = {max_exhaustive}"
+            f"exhaustive pair search is budgeted up to n = {MAX_EXHAUSTIVE}"
         )
-    if workers > 1 and n >= 10:
-        shards = max(workers * 4, workers)
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_golay_worker, [(n, i, shards) for i in range(shards)])
-        raw_pairs = [p for part in parts for p in part]
-    else:
-        raw_pairs = _pairs_from_leaves(_engine.search_golay(n), n)
-    raw_pairs.sort()
-    return [GolayPair(BinarySeq(a), BinarySeq(b)) for a, b in raw_pairs]
+    ((a_rows, b_rows),) = _engine.search_golay(n, workers)
+    rows = sorted(zip(map(tuple, a_rows.tolist()), map(tuple, b_rows.tolist())))
+    return [GolayPair(BinarySeq(a), BinarySeq(b)) for a, b in rows]
 
 
 def embed(pair: GolayPair) -> tuple[NormalQuadruple, NormalQuadruple]:

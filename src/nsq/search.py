@@ -10,15 +10,15 @@ predicates before it is emitted.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import _engine
-from .core import BinarySeq, NormalQuadruple, NpafTable, is_normal, npaf, three_squares_feasible
+from .core import BinarySeq, NormalQuadruple, is_normal, three_squares_feasible
 from .equivalence import canonical_raw, canonical_violation, is_golay_type
-from .quadcodec import QuadCode, decode_quadruple
+from .quadcodec import decode_quadruple, encode_quadruple, parse_code
 
 log = logging.getLogger(__name__)
 
@@ -38,54 +38,15 @@ class ClassRecord:
     golay_type: bool
 
 
-@dataclass(frozen=True)
-class SearchTarget:
-    """The combined (C;D) correlation table a fixed A forces.
-
-    Entry 0 is 2n (two length-n sequences); every other entry must equal
-    minus twice the autocorrelation of A."""
-
-    n: int
-    target_table: NpafTable
-
-
-def search_target(a: BinarySeq) -> SearchTarget:
-    table = npaf(a)
-    values = (2 * a.n,) + tuple(-2 * table[i] for i in range(1, a.n))
-    return SearchTarget(a.n, NpafTable(values, a.n))
-
-
 _CACHE: dict[int, tuple[ClassRecord, ...]] = {}
 
-
-def _codes_from_leaves(leaves: dict, n: int) -> list[tuple[str, str]]:
-    aa_syms, cd_syms = leaves["syms"]
-    centrals = leaves["centrals"]
-    to_symbol = np.zeros(16, dtype=np.int8)
-    for raw, sym in _engine.RAW_TO_SYMBOL.items():
-        to_symbol[raw] = sym
-    out = []
-    for row in range(len(aa_syms)):
-        p = "".join(str(int(s)) for s in to_symbol[aa_syms[row]])
-        q = "".join(str(int(s)) for s in to_symbol[cd_syms[row]])
-        if centrals is not None:
-            p += str(int(centrals[0][row]))
-            q += str(int(centrals[1][row]))
-        out.append((p, q))
-    return out
+# Largest length enumerate_classes searches.  The level-synchronous
+# frontier grows several-fold per length: n = 24 peaks at ~0.6 GB, and
+# n = 25 exhausts a 5 GB address-space cap.
+MAX_EXHAUSTIVE = 24
 
 
-def _record_from_codes(n: int, p_text: str, q_text: str) -> tuple[str, str, NormalQuadruple]:
-    odd = n % 2 == 1
-    p_digits = [int(ch) for ch in p_text]
-    q_digits = [int(ch) for ch in q_text]
-    if odd:
-        p = QuadCode(tuple(p_digits[:-1]), p_digits[-1], "aa")
-        q = QuadCode(tuple(q_digits[:-1]), q_digits[-1], "cd")
-    else:
-        p = QuadCode(tuple(p_digits), None, "aa")
-        q = QuadCode(tuple(q_digits), None, "cd")
-    quad = decode_quadruple(p, q)
+def _verified(quad: NormalQuadruple, p_text: str, q_text: str) -> NormalQuadruple:
     if not is_normal(quad):
         raise SearchError(f"leaf {p_text} {q_text} is not normal")
     violation = canonical_violation(quad)
@@ -93,13 +54,12 @@ def _record_from_codes(n: int, p_text: str, q_text: str) -> tuple[str, str, Norm
         raise SearchError(f"leaf {p_text} {q_text} violates {violation}")
     if canonical_raw(quad.raw()) != quad.raw():
         raise SearchError(f"leaf {p_text} {q_text} is not its orbit's canonical member")
-    return p_text, q_text, quad
+    return quad
 
 
-def _shard_worker(args: tuple[int, int, int]) -> list[tuple[str, str]]:
-    n, index, total = args
-    leaves = _engine.search_normal(n, shard=(index, total))
-    return _codes_from_leaves(leaves, n)
+def _check_budget(n: int) -> None:
+    if n > MAX_EXHAUSTIVE:
+        raise ValueError(f"exhaustive class search is budgeted up to n = {MAX_EXHAUSTIVE}")
 
 
 def enumerate_classes(n: int, workers: int = 1) -> list[ClassRecord]:
@@ -110,6 +70,7 @@ def enumerate_classes(n: int, workers: int = 1) -> list[ClassRecord]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_budget(n)
     cached = _CACHE.get(n)
     if cached is None:
         cached = _CACHE[n] = tuple(_enumerate(n, workers))
@@ -120,23 +81,20 @@ def _enumerate(n: int, workers: int) -> list[ClassRecord]:
     if not three_squares_feasible(n):
         log.info("NS(%d) is empty: %d is not a sum of three squares", n, 2 * n)
         return []
-    if workers > 1 and n >= 8:
-        shards = max(workers * 4, workers)
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(
-                _shard_worker, [(n, i, shards) for i in range(shards)]
-            )
-        codes = [pair for part in parts for pair in part]
-    else:
-        codes = _codes_from_leaves(_engine.search_normal(n), n)
-    codes.sort()
+    (a_rows, _), (c_rows, d_rows) = _engine.search_normal(n, workers)
+    leaves = []
+    for a, c, d in zip(a_rows.tolist(), c_rows.tolist(), d_rows.tolist()):
+        quad = NormalQuadruple(BinarySeq(a), BinarySeq(c), BinarySeq(d))
+        p, q = encode_quadruple(quad)
+        leaves.append((p.text, q.text, quad))
+    leaves.sort(key=lambda leaf: leaf[:2])
     records = []
     previous = None
-    for rank, (p_text, q_text) in enumerate(codes, start=1):
+    for rank, (p_text, q_text, quad) in enumerate(leaves, start=1):
         if (p_text, q_text) == previous:
             raise SearchError(f"duplicate class {p_text} {q_text}")
         previous = (p_text, q_text)
-        p_text, q_text, quad = _record_from_codes(n, p_text, q_text)
+        _verified(quad, p_text, q_text)
         records.append(
             ClassRecord(n, rank, p_text, q_text, is_golay_type(quad))
         )
@@ -145,6 +103,7 @@ def _enumerate(n: int, workers: int) -> list[ClassRecord]:
 
 def summarize(n_lo: int, n_hi: int, workers: int = 1) -> list[tuple[int, int, int, int]]:
     """(n, classes, Golay-type, sporadic) for each n in the range."""
+    _check_budget(n_hi)
     rows = []
     for n in range(n_lo, n_hi + 1):
         records = enumerate_classes(n, workers=workers)
@@ -155,13 +114,15 @@ def summarize(n_lo: int, n_hi: int, workers: int = 1) -> list[tuple[int, int, in
 
 def record_quadruple(record: ClassRecord) -> NormalQuadruple:
     """Decode a record back into its representative quadruple."""
-    _, _, quad = _record_from_codes(record.n, record.p_code, record.q_code)
-    return quad
+    p, q = parse_code(f"{record.p_code} {record.q_code}", n=record.n)
+    return _verified(decode_quadruple(p, q), record.p_code, record.q_code)
 
 
-def exhaustive_normal_quadruples(n: int) -> list[tuple]:
+@lru_cache(maxsize=10)
+def exhaustive_normal_quadruples(n: int) -> tuple[tuple, ...]:
     """Every raw (A;C;D) triple passing the normality identity, found by
-    brute force over all 2^(3n) sign patterns.  Capped at n = 10."""
+    brute force over all 2^(3n) sign patterns.  Capped at n = 10, so the
+    cache holds at most the ten results (a few thousand triples)."""
     if not 1 <= n <= 10:
         raise ValueError("exhaustive enumeration is capped at n = 10")
     count = 1 << n
@@ -175,11 +136,11 @@ def exhaustive_normal_quadruples(n: int) -> list[tuple]:
         ).sum(axis=1)
     if shifts == 0:
         pairs = [(c, d) for c in range(count) for d in range(count)]
-        return [
+        return tuple(
             (tuple(seqs[a].tolist()), tuple(seqs[c].tolist()), tuple(seqs[d].tolist()))
             for a in range(count)
             for c, d in pairs
-        ]
+        )
     cd = (corr[:, None, :] + corr[None, :, :]).reshape(count * count, shifts)
     keys = (-2 * corr).astype(np.int16)
 
@@ -199,4 +160,4 @@ def exhaustive_normal_quadruples(n: int) -> list[tuple]:
         for flat in order[los[a] : his[a]]:
             c, d = divmod(int(flat), count)
             out.append((seq_tuples[a], seq_tuples[c], seq_tuples[d]))
-    return out
+    return tuple(out)

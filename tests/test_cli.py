@@ -64,6 +64,16 @@ class TestSearch:
         _, parallel, _ = run(capsys, "search", "--n", "10", "--threads", "2")
         assert serial == parallel
 
+    @pytest.mark.parametrize("command", [
+        ("search", "--n", "25"),
+        ("summary", "--from", "1", "--to", "100000"),
+        ("diff-tables", "--n", "25"),
+    ])
+    def test_beyond_budget_is_usage_error(self, capsys, command):
+        code, out, err = run(capsys, *command)
+        assert code == 2 and out == ""
+        assert "budgeted up to n = 24" in err
+
 
 class TestCodecCommands:
     def test_decode_prints_paper_style(self, capsys):

@@ -1,5 +1,6 @@
-"""Engine internals: the row-sum reach tables against a direct broadcast
-of their predicate, and the per-level frontier sizes of the search."""
+"""Engine internals: the raw quad ids against the code labels, the
+row-sum reach tables against a direct broadcast of their predicate, and
+the per-level frontier sizes of the search."""
 
 import itertools
 
@@ -7,6 +8,12 @@ import numpy as np
 import pytest
 
 from nsq._engine import (
+    _AA_RAWS,
+    _CD_RAWS,
+    BOT_LEFT,
+    BOT_RIGHT,
+    TOP_LEFT,
+    TOP_RIGHT,
     _bounds,
     _expand,
     _reach_table,
@@ -17,6 +24,15 @@ from nsq._engine import (
     ns_solutions,
     ns_tracks,
 )
+from nsq.quadcodec import AA_QUADS, QUAD_MATRICES
+
+
+def test_raw_ids_spell_the_quad_labels():
+    # The prefix filters name quads by label; the sign rows decode raw ids.
+    for label, raw in enumerate(_CD_RAWS, start=1):
+        signs = (TOP_LEFT[raw], TOP_RIGHT[raw], BOT_LEFT[raw], BOT_RIGHT[raw])
+        assert tuple(int(v) for v in signs) == QUAD_MATRICES[label]
+    assert {_CD_RAWS.index(raw) + 1 for raw in _AA_RAWS} == AA_QUADS
 
 
 def reachable_oracle(partial: np.ndarray, solutions: np.ndarray, remaining: int) -> np.ndarray:

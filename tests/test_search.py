@@ -3,6 +3,7 @@ import pytest
 from nsq.core import NormalQuadruple, is_normal
 from nsq.equivalence import canonical_raw, is_canonical, is_golay_type
 from nsq.search import (
+    MAX_EXHAUSTIVE,
     ClassRecord,
     enumerate_classes,
     exhaustive_normal_quadruples,
@@ -65,18 +66,37 @@ class TestEnumerate:
         assert enumerate_classes(9) == enumerate_classes(9)
 
     def test_parallel_matches_serial(self):
+        # Both searches, through the shard pool and in-process; odd n
+        # also runs the central-column leaf step in every shard.  _enumerate
+        # bypasses the per-length result cache.
+        from nsq.golay import golay_pairs
         from nsq.search import _enumerate
 
-        serial = [(r.p_code, r.q_code) for r in enumerate_classes(12)]
-        parallel = [(r.p_code, r.q_code) for r in _enumerate(12, workers=2)]
-        assert serial == parallel
+        searches = {"ns": _enumerate, "golay": golay_pairs}
+        for kind, n in [("ns", 13), ("ns", 12), ("golay", 10), ("golay", 12)]:
+            serial = searches[kind](n, workers=1)
+            assert searches[kind](n, workers=2) == serial, f"{kind} n={n}"
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             enumerate_classes(0)
 
+    def test_budget(self):
+        with pytest.raises(ValueError, match="budgeted up to n = 24"):
+            enumerate_classes(MAX_EXHAUSTIVE + 1)
+
 
 class TestSummarize:
+    def test_budget_is_checked_before_searching(self, monkeypatch):
+        import nsq.search
+
+        def fail(n, workers=1):
+            raise AssertionError(f"searched n={n}")
+
+        monkeypatch.setattr(nsq.search, "enumerate_classes", fail)
+        with pytest.raises(ValueError, match="budgeted"):
+            summarize(1, MAX_EXHAUSTIVE + 1)
+
     def test_first_five_lengths(self):
         rows = summarize(1, 5)
         assert [r[1] for r in rows] == [1, 1, 1, 1, 1]
@@ -115,34 +135,13 @@ class TestExhaustive:
         with pytest.raises(ValueError):
             exhaustive_normal_quadruples(11)
 
+    def test_result_is_cached_and_immutable(self):
+        first = exhaustive_normal_quadruples(6)
+        assert isinstance(first, tuple)
+        assert exhaustive_normal_quadruples(6) is first
+
 
 class TestClassRecord:
     def test_fields(self):
         record = enumerate_classes(4)[0]
         assert record == ClassRecord(4, 1, "16", "61", True)
-
-
-class TestSearchTarget:
-    def test_worked_length_five_example(self):
-        from nsq.core import BinarySeq, npaf
-        from nsq.search import search_target
-
-        a = BinarySeq.parse("+++-+")
-        target = search_target(a)
-        assert target.target_table[0] == 10
-        c = BinarySeq.parse("+++--")
-        d = BinarySeq.parse("+-++-")
-        for i in range(1, 5):
-            assert npaf(c)[i] + npaf(d)[i] == target.target_table[i]
-
-    def test_invariants(self, rng):
-        from nsq.core import BinarySeq
-        from nsq.search import search_target
-
-        for _ in range(200):
-            n = rng.randrange(1, 16)
-            a = BinarySeq(tuple(rng.choice((1, -1)) for _ in range(n)))
-            target = search_target(a)
-            assert target.target_table[0] == 2 * n
-            for i in range(1, n):
-                assert abs(target.target_table[i]) <= 2 * (n - i)
