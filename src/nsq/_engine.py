@@ -19,6 +19,11 @@ first, and gathers a state's full data only for the survivors:
 
 All arithmetic is integer.
 
+run_search visits the states depth-first in chunks of at most CHUNK
+states, deepest level first, so a level holds less than one chunk plus
+the output of one expansion: memory is bounded by CHUNK and n, not by
+the frontier, which grows several-fold per level.
+
 Quads are held as raw ids 4*left + right, where left/right are the
 column states 0=(+,+) 1=(+,-) 2=(-,+) 3=(-,-); the column state ids
 coincide with the central-column labels of the text codes.  This module
@@ -484,63 +489,93 @@ def _merge_leaves(parts: list[dict], tracks, n: int) -> dict:
     return out
 
 
+# Most states one expansion takes.  Measured in-process on 2 cores at
+# n = 20 and 22: 1 << 10 runs ~30% slower, while 1 << 14 and 1 << 15 run
+# no faster and peak 15-45 MB higher.
+CHUNK = 1 << 12
+
+
+def _take_chunk(queue: list[_Block]) -> _Block:
+    """Pop the last block of a level's queue, joined with the blocks
+    before it while the total stays within CHUNK states."""
+    parts = [queue.pop()]
+    size = len(parts[0])
+    while queue and size + len(queue[-1]) <= CHUNK:
+        parts.append(queue.pop())
+        size += len(parts[-1])
+    return parts[0] if len(parts) == 1 else _Block.concat(parts)
+
+
 def run_search(
     n: int,
     tracks,
     solutions: np.ndarray,
     shard: tuple[int, int] = (0, 1),
-    chunk: int = 1 << 15,
 ) -> dict:
     """Enumerate every completed assignment; returns stacked symbol arrays.
 
+    Level k holds the states with pairs 1..k placed, as a queue of
+    blocks.  Each step takes one chunk of at most CHUNK states from the
+    deepest level holding a full chunk, or else from the deepest
+    non-empty level, and expands it into the next level; chunks taken
+    from the last level are the leaves (even n) or go through the
+    central-column step (odd n).  A level is only fed while every deeper
+    level holds less than a chunk, so each level holds less than one
+    chunk plus the output of one expansion, and memory stays bounded
+    whatever the frontier size.
+
     shard=(i, w) deterministically keeps every w-th state of the level-3
-    frontier, so the w shards i = 0..w-1 partition the search.
+    frontier (level n//2 when that is shallower), so the w shards
+    i = 0..w-1 partition the search.  That frontier is at most one chunk,
+    the output of one expansion, and is strided as one block.
     """
     m = n // 2
     rows = sum(t.pair_rows for t in tracks)
-    weight = 2 * len(tracks)
-    bounds = _bounds(n, weight)
+    bounds = _bounds(n, 2 * len(tracks))
+    reach = [None] + [_reach_table(n, solutions, n - 2 * k) for k in range(1, m + 1)]
     shard_index, shard_count = shard
-    split_level = min(3, m) if shard_count > 1 else 0
+    split_level = min(3, m)
 
-    blocks = [_root(n, tracks, rows)]
+    queues: list[list[_Block]] = [[] for _ in range(m + 1)]
+    sizes = [0] * (m + 1)
+
+    def push(k: int, block: _Block) -> None:
+        if k == split_level and shard_count > 1:
+            block = block.take(np.arange(shard_index, len(block), shard_count))
+        # Queued as slices of one chunk each.  Only a block's last slice
+        # can be short and the newest slice is taken first, so every slice
+        # of a block is taken before its level next holds less than a
+        # chunk: a slice never keeps a spent block alive.
+        queues[k].extend(block.take(slice(lo, lo + CHUNK)) for lo in range(0, len(block), CHUNK))
+        sizes[k] += len(block)
+
+    push(0, _root(n, tracks, rows))
     leaves: list[dict] = []
-    for k in range(1, m + 1):
-        reach = _reach_table(n, solutions, n - 2 * k)
-        nxt: list[_Block] = []
-        for block in blocks:
-            for lo in range(0, len(block), chunk):
-                piece = block.take(slice(lo, lo + chunk))
-                expanded = _expand(piece, n, k, tracks, bounds, reach)
-                if expanded is not None:
-                    nxt.append(expanded)
-        blocks = nxt
-        if k == split_level and blocks:
-            merged = _Block.concat(blocks)
-            del blocks
-            keep = np.arange(shard_index, len(merged), shard_count)
-            blocks = [merged.take(keep)] if len(keep) else []
-        if not blocks:
+    while True:
+        full = [k for k in range(m + 1) if sizes[k] >= CHUNK]
+        live = full or [k for k in range(m + 1) if sizes[k]]
+        if not live:
             break
-
-    if n % 2 == 0:
-        # bounds[m] is identically zero, so survivors already satisfy every
-        # equation; they are the leaves.
-        for block in blocks:
-            leaves.append(
-                {"syms": [block.syms[t] for t in range(len(tracks))], "centrals": None}
-            )
-    else:
-        if m == 0:
-            blocks = [_root(n, tracks, rows)]
-        for block in blocks:
+        k = live[-1]
+        block = _take_chunk(queues[k])
+        sizes[k] -= len(block)
+        if k < m:
+            expanded = _expand(block, n, k + 1, tracks, bounds, reach[k + 1])
+            if expanded is not None:
+                push(k + 1, expanded)
+        elif n % 2:
             leaves.extend(_central_leaves(block, n, tracks))
+        else:
+            # bounds[m] is identically zero, so survivors already satisfy
+            # every equation; they are the leaves.
+            leaves.append({"syms": block.syms, "centrals": None})
     return _merge_leaves(leaves, tracks, n)
 
 
 # Searches shorter than this run in-process whatever the worker count:
-# they take milliseconds, less than starting a pool.
-POOL_MIN_N = 10
+# measured on 2 cores, below n = 17 starting the pool costs more than the
+# second worker saves.
+POOL_MIN_N = 17
 
 
 def _shard(n: int, tracks_of, solutions_of, index: int, total: int) -> dict:

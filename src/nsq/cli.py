@@ -24,21 +24,25 @@ USAGE_ERROR = 2
 
 def _threads(value: int | None) -> int:
     """Worker count from --threads, else NSQ_THREADS (unset or empty: 1).
-    Anything but a positive integer is a usage error."""
-    if value is not None:
-        if value < 1:
-            raise ValueError(f"--threads must be a positive integer, got {value}")
-        return value
-    env = os.environ.get("NSQ_THREADS")
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"NSQ_THREADS must be a positive integer, got {env!r}")
-    return workers
+    Anything but a positive integer up to the CPU count is a usage error:
+    each worker is one process."""
+    if value is None:
+        env = os.environ.get("NSQ_THREADS")
+        if not env:
+            return 1
+        name, shown = "NSQ_THREADS", repr(env)
+        try:
+            value = int(env)
+        except ValueError:
+            value = 0
+    else:
+        name, shown = "--threads", str(value)
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {shown}")
+    cpus = os.cpu_count() or 1
+    if value > cpus:
+        raise ValueError(f"{name} must be at most the CPU count, {cpus}, got {shown}")
+    return value
 
 
 def _cmd_search(args) -> int:

@@ -17,7 +17,7 @@ class GolayError(ValueError):
     """Raised for invalid pairs or out-of-budget searches."""
 
 
-MAX_EXHAUSTIVE = 20
+MAX_EXHAUSTIVE = 26
 
 
 @dataclass(frozen=True)

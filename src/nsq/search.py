@@ -40,10 +40,10 @@ class ClassRecord:
 
 _CACHE: dict[int, tuple[ClassRecord, ...]] = {}
 
-# Largest length enumerate_classes searches.  The level-synchronous
-# frontier grows several-fold per length: n = 24 peaks at ~0.6 GB, and
-# n = 25 exhausts a 5 GB address-space cap.
-MAX_EXHAUSTIVE = 24
+# Largest length enumerate_classes searches.  Memory is bounded by the
+# engine's chunked traversal, so time sets the limit: the search grows
+# several-fold per length, and n = 26 takes about two minutes on two cores.
+MAX_EXHAUSTIVE = 26
 
 
 def _verified(quad: NormalQuadruple, p_text: str, q_text: str) -> NormalQuadruple:

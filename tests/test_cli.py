@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -59,20 +60,21 @@ class TestSearch:
         assert code == 0 and out == ""
         assert "three squares" in err
 
-    def test_threads_flag_output_identical(self, capsys):
+    def test_threads_flag_output_identical(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers allowed
         _, serial, _ = run(capsys, "search", "--n", "10")
         _, parallel, _ = run(capsys, "search", "--n", "10", "--threads", "2")
         assert serial == parallel
 
     @pytest.mark.parametrize("command", [
-        ("search", "--n", "25"),
+        ("search", "--n", "27"),
         ("summary", "--from", "1", "--to", "100000"),
-        ("diff-tables", "--n", "25"),
+        ("diff-tables", "--n", "27"),
     ])
     def test_beyond_budget_is_usage_error(self, capsys, command):
         code, out, err = run(capsys, *command)
         assert code == 2 and out == ""
-        assert "budgeted up to n = 24" in err
+        assert "budgeted up to n = 26" in err
 
 
 class TestCodecCommands:
@@ -169,12 +171,13 @@ class TestGolayCommand:
         assert json.loads(out) == {"n": 8, "golay_type_classes": 6}
 
     def test_budget_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "golay", "--n", "21")
+        code, _, err = run(capsys, "golay", "--n", "27")
         assert code == 2 and "budget" in err
 
 
 class TestEnvThreads:
     def test_env_fallback(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers allowed
         monkeypatch.setenv("NSQ_THREADS", "2")
         _, out, _ = run(capsys, "search", "--n", "9")
         monkeypatch.delenv("NSQ_THREADS")
@@ -206,6 +209,18 @@ class TestThreadsFlag:
         code, out, err = run(capsys, *command, "--threads", value)
         assert code == 2 and out == ""
         assert f"--threads must be a positive integer, got {value}" in err
+
+    def test_above_cpu_count_is_usage_error(self, capsys, monkeypatch):
+        # Checked before any search, so no worker process is started.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for argv, name in [(("--threads", "3"), "--threads"), ((), "NSQ_THREADS")]:
+            monkeypatch.setenv("NSQ_THREADS", "3")
+            code, out, err = run(capsys, "search", "--n", "20", *argv)
+            assert code == 2 and out == ""
+            assert f"{name} must be at most the CPU count, 2" in err
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        code, _, err = run(capsys, "search", "--n", "20", "--threads", "2")
+        assert code == 2 and "at most the CPU count, 1" in err
 
 
 class TestEntryPoint:

@@ -1,24 +1,31 @@
 """Engine internals: the raw quad ids against the code labels, the
-row-sum reach tables against a direct broadcast of their predicate, and
-the per-level frontier sizes of the search."""
+row-sum reach tables against a direct broadcast of their predicate, the
+per-level frontier sizes of the search, and the chunked depth-first
+traversal against a level-synchronous one."""
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from nsq import _engine
 from nsq._engine import (
     _AA_RAWS,
     _CD_RAWS,
     BOT_LEFT,
     BOT_RIGHT,
+    CHUNK,
     TOP_LEFT,
     TOP_RIGHT,
     _bounds,
+    _central_leaves,
     _expand,
+    _merge_leaves,
     _reach_table,
     _root,
     _row_strides,
+    run_search,
     golay_solutions,
     golay_tracks,
     ns_solutions,
@@ -68,8 +75,10 @@ def test_reach_table_of_empty_solution_set_is_all_false():
         assert not _reach_table(19, golay_solutions(19), remaining).any()
 
 
-def frontier_sizes(n: int, tracks, solutions, chunk: int = 1 << 15) -> list[int]:
-    """States left after each level k = 1..n//2, expanding chunk by chunk."""
+def level_search(n: int, tracks, solutions, chunk: int = 1 << 15):
+    """The level-synchronous search: expand a whole level, chunk by chunk,
+    before starting the next.  Returns the states left after each level
+    k = 1..n//2 and the merged leaves."""
     bounds = _bounds(n, 2 * len(tracks))
     blocks = [_root(n, tracks, solutions.shape[1])]
     sizes = []
@@ -83,7 +92,35 @@ def frontier_sizes(n: int, tracks, solutions, chunk: int = 1 << 15) -> list[int]
                     nxt.append(out)
         blocks = nxt
         sizes.append(sum(len(b) for b in blocks))
-    return sizes
+    if n % 2:
+        parts = [leaf for block in blocks for leaf in _central_leaves(block, n, tracks)]
+    else:
+        parts = [{"syms": block.syms, "centrals": None} for block in blocks]
+    return sizes, _merge_leaves(parts, tracks, n)
+
+
+def leaf_rows(leaves: dict) -> list[tuple]:
+    """Each leaf as one row (every track's symbols, then the centrals),
+    sorted, so that searches visiting leaves in any order compare equal."""
+    cols = list(leaves["syms"]) + [c[:, None] for c in leaves["centrals"] or []]
+    return sorted(map(tuple, np.concatenate(cols, axis=1).tolist()))
+
+
+SEARCHES = {
+    "ns": (ns_tracks, ns_solutions),
+    "golay": (golay_tracks, golay_solutions),
+}
+
+
+def search_inputs(kind: str, n: int):
+    tracks, solutions = SEARCHES[kind]
+    return tracks(n), solutions(n)
+
+
+@lru_cache(maxsize=None)
+def oracle(kind: str, n: int) -> tuple[list[int], list[tuple]]:
+    sizes, leaves = level_search(n, *search_inputs(kind, n))
+    return sizes, leaf_rows(leaves)
 
 
 # Recorded from the broadcast-predicate engine that preceded the reach
@@ -101,14 +138,56 @@ GOLDEN_FRONTIERS = {
     ("golay", 20): [8, 48, 288, 1408, 7168, 32368, 140480, 446592, 615200, 1088],
 }
 
-SEARCHES = {
-    "ns": (ns_tracks, ns_solutions),
-    "golay": (golay_tracks, golay_solutions),
-}
-
-
 @pytest.mark.parametrize("kind, n", sorted(GOLDEN_FRONTIERS))
 def test_frontier_sizes_match_golden(kind, n):
-    tracks, solutions = SEARCHES[kind]
-    assert frontier_sizes(n, tracks(n), solutions(n)) == GOLDEN_FRONTIERS[kind, n]
+    assert oracle(kind, n)[0] == GOLDEN_FRONTIERS[kind, n]
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+@pytest.mark.parametrize("kind", sorted(SEARCHES))
+def test_run_search_matches_level_synchronous_oracle(kind, n):
+    assert leaf_rows(run_search(n, *search_inputs(kind, n))) == oracle(kind, n)[1]
+
+
+@pytest.mark.parametrize("shards", [2, 8])
+@pytest.mark.parametrize("n", range(1, 21))
+@pytest.mark.parametrize("kind", sorted(SEARCHES))
+def test_shards_partition_the_search(kind, n, shards):
+    tracks, solutions = search_inputs(kind, n)
+    parts = [run_search(n, tracks, solutions, shard=(i, shards)) for i in range(shards)]
+    assert leaf_rows(_merge_leaves(parts, tracks, n)) == oracle(kind, n)[1]
+
+
+def test_traversal_is_chunked_and_deepest_first(monkeypatch):
+    # Count the states each level holds from what _expand consumes and
+    # produces.  A level may only be expanded while every deeper one
+    # holds less than a chunk, and no expansion takes more than a chunk.
+    n = 18
+    seen, held = [], []
+
+    def spy(block, n_, k, *args):
+        seen.append(len(block))
+        held[k - 1] -= len(block)
+        assert all(h < CHUNK for h in held[k:n // 2]), (k, held)
+        out = _expand(block, n_, k, *args)
+        if out is not None:
+            held[k] += len(out)
+        return out
+
+    monkeypatch.setattr(_engine, "_expand", spy)
+    for kind in SEARCHES:
+        held[:] = [1] + [0] * (n // 2)
+        run_search(n, *search_inputs(kind, n))
+        assert held[:n // 2] == [0] * (n // 2)
+    # Both frontiers pass 10 * CHUNK, so full chunks are taken.
+    assert max(seen) == CHUNK
+
+
+@pytest.mark.parametrize("kind, n", [("ns", 15), ("ns", 16), ("golay", 16)])
+def test_tiny_chunks_match_oracle(monkeypatch, kind, n):
+    # Chunks far smaller than a level's blocks: blocks are split and
+    # joined at every level, and odd n takes its central-column step
+    # piece by piece.
+    monkeypatch.setattr(_engine, "CHUNK", 37)
+    assert leaf_rows(run_search(n, *search_inputs(kind, n))) == oracle(kind, n)[1]
 

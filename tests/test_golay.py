@@ -44,7 +44,7 @@ class TestPairSearch:
 
     def test_budget(self):
         with pytest.raises(GolayError):
-            golay_pairs(21)
+            golay_pairs(27)
 
     def test_invalid_pair_rejected(self):
         with pytest.raises(GolayError):

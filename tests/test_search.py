@@ -65,12 +65,16 @@ class TestEnumerate:
     def test_deterministic_across_calls(self):
         assert enumerate_classes(9) == enumerate_classes(9)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
         # Both searches, through the shard pool and in-process; odd n
         # also runs the central-column leaf step in every shard.  _enumerate
-        # bypasses the per-length result cache.
+        # bypasses the per-length result cache.  The pool threshold is
+        # lowered so that these short searches still use the pool.
+        from nsq import _engine
         from nsq.golay import golay_pairs
         from nsq.search import _enumerate
+
+        monkeypatch.setattr(_engine, "POOL_MIN_N", 1)
 
         searches = {"ns": _enumerate, "golay": golay_pairs}
         for kind, n in [("ns", 13), ("ns", 12), ("golay", 10), ("golay", 12)]:
@@ -82,7 +86,7 @@ class TestEnumerate:
             enumerate_classes(0)
 
     def test_budget(self):
-        with pytest.raises(ValueError, match="budgeted up to n = 24"):
+        with pytest.raises(ValueError, match="budgeted up to n = 26"):
             enumerate_classes(MAX_EXHAUSTIVE + 1)
 
 
