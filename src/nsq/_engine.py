@@ -2,16 +2,18 @@
 
 Shared by the class enumerator and the Golay pair search.  Sequences are
 filled pairwise from the outside in: step k fixes positions k and n+1-k
-of every sequence at once (one quad per pair of sequences).  Each step
-filters the (state, quad combination) candidates in four stages, cheapest
-first, and gathers a state's full data only for the survivors:
+of every sequence at once (one quad per pair of sequences, or track;
+see TrackSpec for how a track carries the canonical-form conditions).
+Each step filters the (state, quad combination) candidates in four
+stages, cheapest first, and gathers a state's full data only for the
+survivors:
 
 1. exact + prefix: after step k the combined correlation at shift n-k is
-   fully determined and must vanish, and each track's canonical-form
-   prefix state machine must accept the new quad;
+   fully determined and must vanish, and each track's state machine must
+   accept the new quad;
 2. row sums: the plain and alternating partial row sums must still reach
    an integer solution of the square identity the completed sequences
-   satisfy, looked up in a table that run_search builds for each level;
+   satisfy, looked up in a table built once per level (_level);
 3. correlation bound: every other shift is bounded by the number of
    products it still misses;
 4. materialisation: only now are the symbol prefixes and prefix states
@@ -35,11 +37,12 @@ process pool when asked to, and hand back plain +1/-1 sign rows
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,24 +81,22 @@ _SYMMETRIC_RAWS = frozenset({0, 5, 10, 15})  # labels 1, 2, 7, 8
 
 @dataclass(frozen=True)
 class TrackSpec:
-    """One sequence pair being searched: its quad alphabet, the running
-    prefix filter (a small state machine), and the central-column rules."""
+    """One sequence pair being searched: the quads it may use and three
+    tables over one prefix state machine, whose state 0 is the start."""
 
-    first: np.ndarray            # allowed raw ids at pair 1
-    alphabet: np.ndarray         # allowed raw ids at pairs >= 2
-    allow: np.ndarray            # (states, 16) bool
-    trans: np.ndarray            # (states, 16) int8
-    start_state: int
-    centrals: tuple[int, ...]    # allowed central states for odd n
-    central_mask: Callable | None  # (syms, z) -> bool mask, extra odd-n rules
+    alphabet: np.ndarray         # raw ids the pair may use
+    allow: np.ndarray            # (states, 16) bool: quad may follow state
+    trans: np.ndarray            # (states, 16) int8: state after the quad
+    central: np.ndarray          # (states, 4) bool: central admitted (odd n)
     pair_rows: int               # 1 when the pair repeats one sequence
 
 
-def _aa_tables(odd: bool) -> tuple[np.ndarray, np.ndarray]:
+def _aa_tables(odd: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # State bits: 1 seen symmetric, 2 seen skew, 4 same-type adjacency
     # consumed, 8 previous quad was skew, 16 at least one quad placed.
     allow = np.zeros((32, 16), dtype=bool)
     trans = np.zeros((32, 16), dtype=np.int8)
+    central = np.zeros((32, 4), dtype=bool)
     for state in range(32):
         seen_sym = state & 1
         seen_skew = state & 2
@@ -106,6 +107,8 @@ def _aa_tables(odd: bool) -> tuple[np.ndarray, np.ndarray]:
             skew = raw not in _SYMMETRIC_RAWS
             adjacency = has_prev and not vdone and bool(prev_skew) == skew
             ok = True
+            if not odd and not has_prev and raw != 0:
+                ok = False  # even n starts with label 1
             if not skew and not seen_sym and raw != 0:
                 ok = False  # first symmetric quad must be label 1
             if skew and not seen_skew and raw != 3:
@@ -118,13 +121,19 @@ def _aa_tables(odd: bool) -> tuple[np.ndarray, np.ndarray]:
                 new |= 4
             new = (new & ~8) | (8 if skew else 0)
             trans[state, raw] = new
-    return allow, trans
+        # The central is 0 or 3.  It is forced to 0 when every quad is skew
+        # (bit 1 unset), or when the last quad is symmetric and no same-type
+        # adjacency occurred (bit 4 unset).
+        central[state, 0] = True
+        central[state, 3] = seen_sym and not (has_prev and not prev_skew and not vdone)
+    return allow, trans, central
 
 
-def _cd_tables() -> tuple[np.ndarray, np.ndarray]:
+def _cd_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # State bits: 1 seen symmetric, 2 seen skew, 4 seen {2,7}, 8 seen {4,5}.
     allow = np.zeros((16, 16), dtype=bool)
     trans = np.zeros((16, 16), dtype=np.int8)
+    central = np.zeros((16, 4), dtype=bool)
     for state in range(16):
         for raw in _CD_RAWS:
             skew = raw not in _SYMMETRIC_RAWS
@@ -144,72 +153,27 @@ def _cd_tables() -> tuple[np.ndarray, np.ndarray]:
             if raw in (6, 9):
                 new |= 8
             trans[state, raw] = new
-    return allow, trans
-
-
-def _aa_central_mask(syms: np.ndarray, z: int) -> np.ndarray:
-    skew = np.isin(syms, (3, 12))
-    all_skew = skew.all(axis=1)
-    if syms.shape[1] > 1:
-        adjacency = (skew[:, :-1] == skew[:, 1:]).any(axis=1)
-    else:
-        adjacency = np.zeros(len(syms), dtype=bool)
-    last_sym = ~skew[:, -1] if syms.shape[1] else np.zeros(len(syms), dtype=bool)
-    forced_zero = all_skew | (~adjacency & last_sym)
-    if z == 0:
-        return np.ones(len(syms), dtype=bool)
-    return ~forced_zero
-
-
-def _cd_central_mask(syms: np.ndarray, z: int) -> np.ndarray:
-    ok = np.ones(len(syms), dtype=bool)
-    if z == 2:
-        ok &= (syms == 5).any(axis=1)      # central 2 needs a label-2 quad somewhere
-    if z != 0:
-        ok &= (syms == 0).any(axis=1)      # no label-1 quad pins the central to 0
-    return ok
+        # A nonzero central needs a label-1 quad (bit 1, by the rules
+        # above), and central 2 also a label-2 quad (bit 4).
+        central[state, 0] = True
+        central[state, 1:] = bool(state & 1)
+        central[state, 2] = (state & 5) == 5
+    return allow, trans, central
 
 
 def ns_tracks(n: int) -> tuple[TrackSpec, TrackSpec]:
-    odd = n % 2 == 1
-    aa_allow, aa_trans = _aa_tables(odd)
-    cd_allow, cd_trans = _cd_tables()
-    aa_first = np.array([0] if not odd else [0, 3], dtype=np.int8)
-    cd_first = np.array([0, 3], dtype=np.int8)
-    aa = TrackSpec(
-        first=aa_first,
-        alphabet=np.array(_AA_RAWS, dtype=np.int8),
-        allow=aa_allow,
-        trans=aa_trans,
-        start_state=0,
-        centrals=(0, 3),
-        central_mask=_aa_central_mask,
-        pair_rows=1,
-    )
-    cd = TrackSpec(
-        first=cd_first,
-        alphabet=np.array(_CD_RAWS, dtype=np.int8),
-        allow=cd_allow,
-        trans=cd_trans,
-        start_state=0,
-        centrals=(0, 1, 2, 3),
-        central_mask=_cd_central_mask,
-        pair_rows=2,
-    )
+    aa = TrackSpec(np.array(_AA_RAWS, dtype=np.int8), *_aa_tables(n % 2 == 1), pair_rows=1)
+    cd = TrackSpec(np.array(_CD_RAWS, dtype=np.int8), *_cd_tables(), pair_rows=2)
     return aa, cd
 
 
 def golay_tracks(n: int) -> tuple[TrackSpec]:
     del n
-    raws = np.array(ORTHOGONAL_RAWS, dtype=np.int8)
     track = TrackSpec(
-        first=raws,
-        alphabet=raws,
+        alphabet=np.array(ORTHOGONAL_RAWS, dtype=np.int8),
         allow=np.ones((1, 16), dtype=bool),
         trans=np.zeros((1, 16), dtype=np.int8),
-        start_state=0,
-        centrals=(0, 1, 2, 3),
-        central_mask=None,
+        central=np.ones((1, 4), dtype=bool),
         pair_rows=2,
     )
     return (track,)
@@ -340,20 +304,24 @@ def _root(n: int, tracks, rows: int) -> _Block:
     return _Block(
         np.zeros((1, n), dtype=np.int16),
         [np.zeros((1, 0), dtype=np.int8) for _ in tracks],
-        np.array([[t.start_state for t in tracks]], dtype=np.int8),
+        np.zeros((1, len(tracks)), dtype=np.int8),
         origin,
         origin.copy(),
     )
 
 
-def _combo_grid(alphabets: list[np.ndarray]) -> list[np.ndarray]:
-    grids = np.meshgrid(*alphabets, indexing="ij")
-    return [g.reshape(-1).astype(np.int8) for g in grids]
+class _Level(NamedTuple):
+    """The state-free constants of placing pair k, built once by _level."""
+
+    units: list[np.ndarray]  # per track, its quad in every combination
+    plain: np.ndarray        # per combination, plain row-sum table offset
+    alt: np.ndarray          # per combination, alternating row-sum offset
+    reach: np.ndarray        # _reach_table(n, solutions, n - 2k)
+    bound: np.ndarray        # largest |correlation| at shifts 1..n-1
 
 
-def _row_sum_deltas(units, tracks, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per combo, the reach-table offsets that placing pair k adds to the
-    plain and the alternating row sums."""
+def _level(n: int, k: int, tracks, solutions: np.ndarray) -> _Level:
+    units = [g.reshape(-1) for g in np.meshgrid(*(t.alphabet for t in tracks), indexing="ij")]
     sign_left = 1 if k % 2 else -1          # position k
     sign_right = 1 if (n - k) % 2 == 0 else -1  # position n+1-k
     plain, alt = [], []
@@ -365,39 +333,39 @@ def _row_sum_deltas(units, tracks, n: int, k: int) -> tuple[np.ndarray, np.ndarr
             plain.append(left + right)
             alt.append(sign_left * left + sign_right * right)
     strides = _row_strides(n, len(plain))
-    return np.stack(plain, axis=1) @ strides, np.stack(alt, axis=1) @ strides
+    return _Level(
+        units,
+        np.stack(plain, axis=1) @ strides,
+        np.stack(alt, axis=1) @ strides,
+        _reach_table(n, solutions, n - 2 * k),
+        _bounds(n, 2 * len(tracks))[k][1:],
+    )
 
 
-def _expand(block: _Block, n: int, k: int, tracks, bounds, reach) -> _Block | None:
+def _expand(block: _Block, n: int, k: int, tracks, level: _Level) -> _Block | None:
     """Place pair k (1-based) on every state of the block and keep the
     survivors of the exact, row-sum and bound checks, in that order; only
-    the survivors of each check are carried into the next.  reach is the
-    level's table from _reach_table(n, solutions, n - 2k)."""
-    alphas = [t.first if k == 1 else t.alphabet for t in tracks]
-    units = _combo_grid(alphas)
+    the survivors of each check are carried into the next.  level is
+    _level(n, k, tracks, solutions)."""
+    units = level.units
 
-    # Exact check at the newly determined shift n-k.  For k = 1 the only
-    # contribution is each new quad against itself; afterwards it is each
-    # new quad crossed with pair 1.
+    # Exact check at the newly determined shift n-k, and the prefix state
+    # machines.  For k = 1 the only contribution is each new quad against
+    # itself; afterwards it is each new quad crossed with pair 1.
     if k == 1:
-        delta = sum(SC[u] for u in units)
-        value = block.p[:, n - k][:, None] + delta[None, :]
-        mask = value == 0
+        delta = sum(SC[u] for u in units)[None, :]
     else:
-        value = block.p[:, n - k][:, None] + sum(
-            SS[:, u][block.syms[t][:, 0]] for t, u in enumerate(units)
-        )
-        mask = value == 0
-        for t, track in enumerate(tracks):
-            mask &= track.allow[:, units[t]][block.fst[:, t]]
+        delta = sum(SS[:, u][block.syms[t][:, 0]] for t, u in enumerate(units))
+    mask = block.p[:, n - k][:, None] + delta == 0
+    for t, track in enumerate(tracks):
+        mask &= track.allow[:, units[t]][block.fst[:, t]]
     rows_idx, combo_idx = np.nonzero(mask)
 
     # Row sums, plain and alternating: both must still reach a solution of
     # the square identity with the n - 2k positions left in each row.
-    d_plain, d_alt = _row_sum_deltas(units, tracks, n, k)
-    plain = block.plain[rows_idx] + d_plain[combo_idx]
-    alt = block.alt[rows_idx] + d_alt[combo_idx]
-    keep = np.nonzero(reach[plain] & reach[alt])[0]
+    plain = block.plain[rows_idx] + level.plain[combo_idx]
+    alt = block.alt[rows_idx] + level.alt[combo_idx]
+    keep = np.nonzero(level.reach[plain] & level.reach[alt])[0]
     if not len(keep):
         return None
     rows_idx, combo_idx = rows_idx[keep], combo_idx[keep]
@@ -413,7 +381,7 @@ def _expand(block: _Block, n: int, k: int, tracks, bounds, reach) -> _Block | No
             p_new[:, k - j] += _DD_FLAT[pair]
             p_new[:, n + 1 - j - k] += _SS_FLAT[pair]
         p_new[:, n + 1 - 2 * k] += SC[u]
-    keep = np.nonzero((np.abs(p_new[:, 1:]) <= bounds[k][1:]).all(axis=1))[0]
+    keep = np.nonzero((np.abs(p_new[:, 1:]) <= level.bound).all(axis=1))[0]
     if not len(keep):
         return None
     if len(keep) < len(rows_idx):
@@ -433,22 +401,20 @@ def _expand(block: _Block, n: int, k: int, tracks, bounds, reach) -> _Block | No
 
 
 def _central_leaves(block: _Block, n: int, tracks) -> list[dict]:
-    """For odd n, try every allowed central combination and keep the
-    states whose full correlation table vanishes."""
+    """For odd n, try every central combination and keep the states whose
+    prefix states admit it and whose full correlation table vanishes."""
     m = n // 2
     leaves = []
-    combos = _combo_grid([np.array(t.centrals, dtype=np.int8) for t in tracks])
-    for c in range(len(combos[0])):
-        zs = [int(combos[t][c]) for t in range(len(tracks))]
-        p_c = block.p.copy()
+    for zs in itertools.product(range(4), repeat=len(tracks)):
+        admitted = np.ones(len(block), dtype=bool)
+        for t, track in enumerate(tracks):
+            admitted &= track.central[block.fst[:, t], zs[t]]
+        idx = np.nonzero(admitted)[0]
+        p_c = block.p[idx]
         for t in range(len(tracks)):
             for j in range(1, m + 1):
-                p_c[:, m + 1 - j] += CENTRE[block.syms[t][:, j - 1], zs[t]]
-        mask = (p_c[:, 1:] == 0).all(axis=1)
-        for t, track in enumerate(tracks):
-            if track.central_mask is not None:
-                mask &= track.central_mask(block.syms[t], zs[t])
-        idx = np.nonzero(mask)[0]
+                p_c[:, m + 1 - j] += CENTRE[block.syms[t][idx, j - 1], zs[t]]
+        idx = idx[(p_c[:, 1:] == 0).all(axis=1)]
         if not len(idx):
             continue
         leaves.append(
@@ -531,8 +497,7 @@ def run_search(
     """
     m = n // 2
     rows = sum(t.pair_rows for t in tracks)
-    bounds = _bounds(n, 2 * len(tracks))
-    reach = [None] + [_reach_table(n, solutions, n - 2 * k) for k in range(1, m + 1)]
+    levels = [None] + [_level(n, k, tracks, solutions) for k in range(1, m + 1)]
     shard_index, shard_count = shard
     split_level = min(3, m)
 
@@ -560,7 +525,7 @@ def run_search(
         block = _take_chunk(queues[k])
         sizes[k] -= len(block)
         if k < m:
-            expanded = _expand(block, n, k + 1, tracks, bounds, reach[k + 1])
+            expanded = _expand(block, n, k + 1, tracks, levels[k + 1])
             if expanded is not None:
                 push(k + 1, expanded)
         elif n % 2:

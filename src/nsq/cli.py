@@ -131,7 +131,7 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_verify_relations(args) -> int:
-    lengths = [args.n] if args.n else [4, 5]
+    lengths = [args.n] if args.n is not None else [4, 5]
     failed = False
     for n in lengths:
         for check in verify_relations(n):
@@ -188,9 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, threads=True, fmt=True):
-        if threads:
-            p.add_argument("--threads", type=int, default=None, help="worker processes (or NSQ_THREADS)")
+    def add_common(p, fmt=True):
+        p.add_argument("--threads", type=int, default=None, help="worker processes (or NSQ_THREADS)")
         if fmt:
             p.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -83,16 +83,3 @@ def golay_type_class_count(n: int, workers: int = 1) -> int:
         for quad in embed(pair):
             canonical.add(canonical_raw(quad.raw()))
     return len(canonical)
-
-
-def golay_class_codes(n: int, workers: int = 1) -> set[tuple[str, str]]:
-    """Canonical code pairs of every Golay-type class, for cross-checks."""
-    from .quadcodec import encode_quadruple
-
-    codes = set()
-    for pair in golay_pairs(n, workers=workers):
-        for quad in embed(pair):
-            canon = NormalQuadruple.from_raw(canonical_raw(quad.raw()))
-            p, q = encode_quadruple(canon)
-            codes.add((p.text, q.text))
-    return codes

@@ -9,7 +9,8 @@ action is unambiguous and the presentation is verified against it."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import NormalQuadruple
 from .equivalence import (
@@ -22,46 +23,12 @@ from .equivalence import (
 
 Raw = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
-# Generator order: negations/reversals of the repeated pair, of C, of D,
-# then the pair swap, the quad 4<->5 swap, and the global alternation.
-GENERATOR_TAGS = (
-    Transform.NEGATE_AA,
-    Transform.REVERSE_AA,
-    Transform.NEGATE_C,
-    Transform.REVERSE_C,
-    Transform.NEGATE_D,
-    Transform.REVERSE_D,
-    Transform.SWAP_CD,
-    Transform.QUAD_SWAP_45,
-    Transform.ALTERNATE_ALL,
-)
-
-# Exponent-vector slots: (alternation; the six negation/reversal flags in
-# the order above; swap; quad swap).
-_SLOT = {
-    Transform.ALTERNATE_ALL: 0,
-    Transform.NEGATE_AA: 1,
-    Transform.REVERSE_AA: 2,
-    Transform.NEGATE_C: 3,
-    Transform.REVERSE_C: 4,
-    Transform.NEGATE_D: 5,
-    Transform.REVERSE_D: 6,
-    Transform.SWAP_CD: 7,
-    Transform.QUAD_SWAP_45: 8,
-}
-
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A group element given as a word in the nine generators.
-
-    normal_form, when present, is the 9-bit exponent vector of the word;
-    it is filled in for the generators themselves (general word reduction
-    is not implemented, the concrete action is what matters here).
-    """
+    """A group element given as a word in the nine generators."""
 
     word: tuple[Transform, ...]
-    normal_form: tuple[int, ...] | None = field(default=None)
 
     def act_raw(self, raw: Raw) -> Raw:
         for t in reversed(self.word):
@@ -73,15 +40,12 @@ class GroupElement:
 
 
 def generators(n: int) -> list[GroupElement]:
-    """The nine involutive generators, bound to their concrete actions."""
+    """The nine involutive generators, bound to their concrete actions, in
+    the order of TRANSFORMS: negations/reversals of the repeated pair, of
+    C, of D, then the pair swap, the quad 4<->5 swap, and the alternation."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    out = []
-    for tag in GENERATOR_TAGS:
-        vector = [0] * 9
-        vector[_SLOT[tag]] = 1
-        out.append(GroupElement((tag,), tuple(vector)))
-    return out
+    return [GroupElement((tag,)) for tag in TRANSFORMS]
 
 
 _PROBE_SEED = 411217
@@ -122,30 +86,24 @@ def _probe(n: int) -> tuple[Raw, ...]:
     return tuple(_random_quad_regular(n, rng) for _ in range(_PROBE_COUNT))
 
 
-_ORDER_CACHE: dict[int, int] = {}
-
-
+@lru_cache(maxsize=64)
 def realized_order(n: int) -> int:
     """Size of the transformation group the nine generators generate,
     computed as the closure of the action on a fixed generic probe."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    cached = _ORDER_CACHE.get(n)
-    if cached is not None:
-        return cached
     state = _probe(n)
     seen = {state}
     frontier = [state]
     while frontier:
         nxt = []
         for current in frontier:
-            for tag in GENERATOR_TAGS:
+            for tag in TRANSFORMS:
                 image = tuple(apply_raw(tag, raw) for raw in current)
                 if image not in seen:
                     seen.add(image)
                     nxt.append(image)
         frontier = nxt
-    _ORDER_CACHE[n] = len(seen)
     return len(seen)
 
 
@@ -278,34 +236,3 @@ def orbits_match_classes(n: int) -> bool:
     for raw in members:
         fibers.setdefault(canonical_raw(raw), set()).add(raw)
     return {frozenset(v) for v in fibers.values()} == orbits
-
-
-def symmetry_types_preserved(n: int, cases: int = 100, seed: int = 90210) -> bool:
-    """The quad-wise generators preserve each quad's symmetry type; the
-    alternation does too when n is odd."""
-    from .core import BinarySeq
-    from .quadcodec import decompose_pair, symmetry_type
-
-    rng = random.Random(seed + n)
-
-    quadwise = [t for t in TRANSFORMS if t is not Transform.ALTERNATE_ALL]
-    if n % 2 == 1:
-        quadwise.append(Transform.ALTERNATE_ALL)
-
-    def types(raw: Raw) -> tuple:
-        aa = decompose_pair(BinarySeq(raw[0]), BinarySeq(raw[0]), kind="aa")
-        cd = decompose_pair(BinarySeq(raw[1]), BinarySeq(raw[2]))
-        return (
-            tuple(symmetry_type(s) for s in aa.quads),
-            tuple(symmetry_type(s) for s in cd.quads),
-        )
-
-    for _ in range(cases):
-        # every quad is one of the eight labelled matrices (only those
-        # carry a symmetry type)
-        raw = _random_quad_regular(n, rng)
-        before = types(raw)
-        for t in quadwise:
-            if types(apply_raw(t, raw)) != before:
-                return False
-    return True

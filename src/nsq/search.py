@@ -103,6 +103,8 @@ def _enumerate(n: int, workers: int) -> list[ClassRecord]:
 
 def summarize(n_lo: int, n_hi: int, workers: int = 1) -> list[tuple[int, int, int, int]]:
     """(n, classes, Golay-type, sporadic) for each n in the range."""
+    if n_lo > n_hi:
+        raise ValueError(f"empty range: from {n_lo} to {n_hi}")
     _check_budget(n_hi)
     rows = []
     for n in range(n_lo, n_hi + 1):

@@ -27,11 +27,12 @@ from nsq.equivalence import (
     orbit_raw,
     Transform,
 )
-from nsq.golay import embed, golay_class_codes, golay_pairs, golay_type_class_count, two_embeddings_equivalent
+from nsq.golay import embed, golay_pairs, golay_type_class_count, two_embeddings_equivalent
 from nsq.group import orbits_match_classes, realized_order, verify_relations
 from nsq.quadcodec import QuadCode, compose_pair
 from nsq.search import enumerate_classes, exhaustive_normal_quadruples, record_quadruple, summarize
 from nsq.tables import diff_against_search, load_allowlist, load_tables, verify_tables
+from test_golay import golay_class_codes
 
 EXPECTED_COUNTS = {
     1: (1, 1, 0),

@@ -33,6 +33,17 @@ class TestSummary:
             ]
         }
 
+    def test_empty_range_is_usage_error(self, capsys, monkeypatch):
+        from nsq import search
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched an empty range")
+
+        monkeypatch.setattr(search, "enumerate_classes", no_search)
+        code, out, err = run(capsys, "summary", "--from", "5", "--to", "3")
+        assert code == 2 and out == ""
+        assert "empty range: from 5 to 3" in err
+
 
 class TestSearch:
     def test_text_matches_library(self, capsys):
@@ -133,6 +144,12 @@ class TestVerification:
         assert code == 0
         assert "PASS" in out and "UNVERIFIABLE" in out
         assert "FAIL" not in out.replace("UNVERIFIABLE", "")
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_verify_relations_rejects_nonpositive_length(self, capsys, value):
+        code, out, err = run(capsys, "verify-relations", "--n", value)
+        assert code == 2 and out == ""
+        assert "n must be at least 1" in err
 
     def test_diff_tables_known_length(self, capsys):
         code, out, _ = run(capsys, "diff-tables", "--n", "2")

@@ -1,7 +1,8 @@
 """Engine internals: the raw quad ids against the code labels, the
 row-sum reach tables against a direct broadcast of their predicate, the
-per-level frontier sizes of the search, and the chunked depth-first
-traversal against a level-synchronous one."""
+per-level frontier sizes of the search, the chunked depth-first
+traversal against a level-synchronous one, and the track tables against
+the symbol scans they replaced."""
 
 import itertools
 from functools import lru_cache
@@ -16,11 +17,12 @@ from nsq._engine import (
     BOT_LEFT,
     BOT_RIGHT,
     CHUNK,
+    ORTHOGONAL_RAWS,
     TOP_LEFT,
     TOP_RIGHT,
-    _bounds,
     _central_leaves,
     _expand,
+    _level,
     _merge_leaves,
     _reach_table,
     _root,
@@ -79,15 +81,14 @@ def level_search(n: int, tracks, solutions, chunk: int = 1 << 15):
     """The level-synchronous search: expand a whole level, chunk by chunk,
     before starting the next.  Returns the states left after each level
     k = 1..n//2 and the merged leaves."""
-    bounds = _bounds(n, 2 * len(tracks))
     blocks = [_root(n, tracks, solutions.shape[1])]
     sizes = []
     for k in range(1, n // 2 + 1):
-        reach = _reach_table(n, solutions, n - 2 * k)
+        level = _level(n, k, tracks, solutions)
         nxt = []
         for block in blocks:
             for lo in range(0, len(block), chunk):
-                out = _expand(block.take(slice(lo, lo + chunk)), n, k, tracks, bounds, reach)
+                out = _expand(block.take(slice(lo, lo + chunk)), n, k, tracks, level)
                 if out is not None:
                     nxt.append(out)
         blocks = nxt
@@ -191,3 +192,94 @@ def test_tiny_chunks_match_oracle(monkeypatch, kind, n):
     monkeypatch.setattr(_engine, "CHUNK", 37)
     assert leaf_rows(run_search(n, *search_inputs(kind, n))) == oracle(kind, n)[1]
 
+
+def test_level_setup_is_built_once_per_level(monkeypatch):
+    # _level runs once per level of each search; every chunk of a level is
+    # expanded with that one object.
+    built, expanded = {}, []
+
+    def level_spy(n, k, tracks, solutions):
+        assert k not in built
+        built[k] = _level(n, k, tracks, solutions)
+        return built[k]
+
+    def expand_spy(block, n, k, tracks, level):
+        assert level is built[k]
+        expanded.append(k)
+        return _expand(block, n, k, tracks, level)
+
+    monkeypatch.setattr(_engine, "_level", level_spy)
+    monkeypatch.setattr(_engine, "_expand", expand_spy)
+    for kind in SEARCHES:
+        built.clear()
+        expanded.clear()
+        run_search(20, *search_inputs(kind, 20))
+        assert sorted(built) == list(range(1, 11))
+        # Level 9 holds ~0.5 M states (GOLDEN_FRONTIERS), so placing pair
+        # 10 takes over a hundred chunks.
+        assert expanded.count(10) > 100
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_start_state_allows_the_first_quads(n):
+    # State 0 is the start: its allow row is the alphabet of pair 1.
+    def first(track):
+        return {int(q) for q in track.alphabet if track.allow[0, q]}
+
+    aa, cd = ns_tracks(n)
+    (golay,) = golay_tracks(n)
+    assert first(aa) == ({0, 3} if n % 2 else {0})  # label 1, and 6 for odd n
+    assert first(cd) == {0, 3}                      # labels 1 and 6
+    assert first(golay) == set(ORTHOGONAL_RAWS)
+    assert golay.central.all()
+
+
+def aa_central_oracle(syms: np.ndarray, z: int) -> np.ndarray:
+    """The repeated pair's central rules as a scan of each state's quads:
+    the central is 0 or 3, and 0 when every quad is skew, or when no two
+    adjacent quads share a type and the last quad is symmetric."""
+    if z not in (0, 3):
+        return np.zeros(len(syms), dtype=bool)
+    skew = np.isin(syms, (3, 12))
+    all_skew = skew.all(axis=1)
+    if syms.shape[1] > 1:
+        adjacency = (skew[:, :-1] == skew[:, 1:]).any(axis=1)
+    else:
+        adjacency = np.zeros(len(syms), dtype=bool)
+    last_sym = ~skew[:, -1] if syms.shape[1] else np.zeros(len(syms), dtype=bool)
+    forced_zero = all_skew | (~adjacency & last_sym)
+    if z == 0:
+        return np.ones(len(syms), dtype=bool)
+    return ~forced_zero
+
+
+def cd_central_oracle(syms: np.ndarray, z: int) -> np.ndarray:
+    """The (C;D) central rules as a scan: a nonzero central needs a
+    label-1 quad, and central 2 also a label-2 quad."""
+    ok = np.ones(len(syms), dtype=bool)
+    if z == 2:
+        ok &= (syms == 5).any(axis=1)
+    if z != 0:
+        ok &= (syms == 0).any(axis=1)
+    return ok
+
+
+@pytest.mark.parametrize("n", range(1, 20, 2))
+def test_central_table_matches_symbol_scan(monkeypatch, n):
+    # Every state that reaches the central step, looked up in the table
+    # by its prefix state and scanned by its quads, for each central.
+    blocks = []
+
+    def spy(block, n_, tracks):
+        blocks.append(block)
+        return _central_leaves(block, n_, tracks)
+
+    monkeypatch.setattr(_engine, "_central_leaves", spy)
+    tracks, solutions = search_inputs("ns", n)
+    run_search(n, tracks, solutions)
+    assert blocks
+    for block in blocks:
+        for t, oracle_mask in enumerate((aa_central_oracle, cd_central_oracle)):
+            for z in range(4):
+                table = tracks[t].central[block.fst[:, t], z]
+                assert np.array_equal(table, oracle_mask(block.syms[t], z)), (t, z)

@@ -1,17 +1,29 @@
 import pytest
 
-from nsq.core import BinarySeq, is_normal, npaf
-from nsq.equivalence import are_equivalent, is_golay_type
+from nsq.core import BinarySeq, NormalQuadruple, is_normal, npaf
+from nsq.equivalence import are_equivalent, canonical_raw, is_golay_type
 from nsq.golay import (
     GolayError,
     GolayPair,
     embed,
-    golay_class_codes,
     golay_pairs,
     golay_type_class_count,
     two_embeddings_equivalent,
 )
+from nsq.quadcodec import encode_quadruple
 from nsq.search import enumerate_classes
+
+
+def golay_class_codes(n: int) -> set[tuple[str, str]]:
+    """Canonical code pairs of every Golay-type class, for cross-checks."""
+    codes = set()
+    for pair in golay_pairs(n):
+        for quad in embed(pair):
+            canon = NormalQuadruple.from_raw(canonical_raw(quad.raw()))
+            p, q = encode_quadruple(canon)
+            codes.add((p.text, q.text))
+    return codes
+
 
 # Ordered pair counts frozen from the exhaustive search.
 PAIR_COUNTS = {1: 4, 2: 8, 3: 0, 4: 32, 5: 0, 8: 192, 10: 128}
