@@ -26,13 +26,20 @@ states, deepest level first, so a level holds less than one chunk plus
 the output of one expansion: memory is bounded by CHUNK and n, not by
 the frontier, which grows several-fold per level.
 
+A search is defined by its tracks alone: the square identity its row
+sums must reach follows from which sequences each track holds
+(_solutions).
+
 Quads are held as raw ids 4*left + right, where left/right are the
 column states 0=(+,+) 1=(+,-) 2=(-,+) 3=(-,-); the column state ids
-coincide with the central-column labels of the text codes.  This module
-is the only one that knows the raw ids or runs worker processes:
-search_normal and search_golay split a search into shards over one
-process pool when asked to, and hand back plain +1/-1 sign rows
-(see _sign_rows), never raw ids.
+coincide with the central-column labels of the text codes.  For odd n
+the central column z is its own mirror image, so it is held as the raw
+quad 5*z whose two columns are both z.  A leaf is then, per track, one
+row of n - n//2 raw quads, the central (odd n) last.  This module is the
+only one that knows the raw ids or runs worker processes: search_normal
+and search_golay split a search into shards over one process pool when
+asked to, and hand back plain +1/-1 sign rows (see _sign_rows), never
+raw ids.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ import itertools
 import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -56,11 +62,11 @@ _R = np.arange(16) % 4
 #   DD[a,b] -> shift k-j   (left-left plus right-right products)
 #   SS[a,b] -> shift n+1-j-k  (the two crossed products)
 #   SC[a]   -> shift n+1-2j   (a quad against itself)
-#   CENTRE[a,z] -> shift m+1-j (a quad against the central column z)
+# The central column z of odd n is the raw quad 5*z at pair m+1, so it
+# meets a quad a at pair j through DD[a, 5*z], at shift m+1-j.
 DD = DOT4[_L[:, None], _L[None, :]] + DOT4[_R[:, None], _R[None, :]]
 SS = DOT4[_L[:, None], _R[None, :]] + DOT4[_L[None, :], _R[:, None]]
 SC = DOT4[_L, _R]
-CENTRE = DOT4[_L] + DOT4[_R]  # (16, 4)
 _DD_FLAT = DD.ravel()  # indexed by 16*a + b
 _SS_FLAT = SS.ravel()
 
@@ -179,44 +185,16 @@ def golay_tracks(n: int) -> tuple[TrackSpec]:
     return (track,)
 
 
-def ns_solutions(n: int) -> np.ndarray:
-    """Integer solutions (a, c, d) of 2a^2 + c^2 + d^2 = 4n with the
-    parity a = c = d = n (mod 2) forced on every row sum."""
-    sols = []
-    amax = isqrt(2 * n)
-    cmax = isqrt(4 * n)
-    for a in range(-amax, amax + 1):
-        if (a - n) % 2:
-            continue
-        rest = 4 * n - 2 * a * a
-        for c in range(-cmax, cmax + 1):
-            if (c - n) % 2 or c * c > rest:
-                continue
-            d2 = rest - c * c
-            d = isqrt(d2)
-            if d * d != d2 or (d - n) % 2:
-                continue
-            sols.append((a, c, d))
-            if d:
-                sols.append((a, c, -d))
-    return np.array(sols, dtype=np.int16).reshape(-1, 3)
-
-
-def golay_solutions(n: int) -> np.ndarray:
-    """Integer solutions (a, b) of a^2 + b^2 = 2n, same parity rule."""
-    sols = []
-    amax = isqrt(2 * n)
-    for a in range(-amax, amax + 1):
-        if (a - n) % 2:
-            continue
-        b2 = 2 * n - a * a
-        b = isqrt(b2)
-        if b * b != b2 or (b - n) % 2:
-            continue
-        sols.append((a, b))
-        if b:
-            sols.append((a, -b))
-    return np.array(sols, dtype=np.int16).reshape(-1, 2)
+def _solutions(n: int, tracks) -> np.ndarray:
+    """Every row-sum vector the completed rows may have: one row of weight
+    2 for a track that repeats one sequence, else two rows of weight 1,
+    each row sum = n (mod 2), and sum_r w_r x_r^2 = n sum_r w_r.  That is
+    2a^2 + c^2 + d^2 = 4n for NS(n) and a^2 + b^2 = 2n for Golay pairs."""
+    weights = np.array([w for t in tracks for w in ((2,) if t.pair_rows == 1 else (1, 1))])
+    axis = np.arange(-n, n + 1, 2)
+    grid = np.stack(np.meshgrid(*[axis] * len(weights), indexing="ij"), axis=-1)
+    grid = grid.reshape(-1, len(weights))
+    return grid[grid**2 @ weights == n * weights.sum()].astype(np.int16)
 
 
 @lru_cache(maxsize=None)
@@ -299,7 +277,8 @@ class _Block:
         return len(self.p)
 
 
-def _root(n: int, tracks, rows: int) -> _Block:
+def _root(n: int, tracks) -> _Block:
+    rows = sum(t.pair_rows for t in tracks)
     origin = np.array([n * int(_row_strides(n, rows).sum())], dtype=np.int32)
     return _Block(
         np.zeros((1, n), dtype=np.int16),
@@ -402,7 +381,8 @@ def _expand(block: _Block, n: int, k: int, tracks, level: _Level) -> _Block | No
 
 def _central_leaves(block: _Block, n: int, tracks) -> list[dict]:
     """For odd n, try every central combination and keep the states whose
-    prefix states admit it and whose full correlation table vanishes."""
+    prefix states admit it and whose full correlation table vanishes; the
+    central z is appended to each track's quads as the raw quad 5*z."""
     m = n // 2
     leaves = []
     for zs in itertools.product(range(4), repeat=len(tracks)):
@@ -413,46 +393,18 @@ def _central_leaves(block: _Block, n: int, tracks) -> list[dict]:
         p_c = block.p[idx]
         for t in range(len(tracks)):
             for j in range(1, m + 1):
-                p_c[:, m + 1 - j] += CENTRE[block.syms[t][idx, j - 1], zs[t]]
+                p_c[:, m + 1 - j] += DD[block.syms[t][idx, j - 1], 5 * zs[t]]
         idx = idx[(p_c[:, 1:] == 0).all(axis=1)]
-        if not len(idx):
-            continue
-        leaves.append(
-            {
-                "syms": [block.syms[t][idx] for t in range(len(tracks))],
-                "centrals": [
-                    np.full(len(idx), zs[t], dtype=np.int8)
-                    for t in range(len(tracks))
-                ],
-            }
-        )
+        if len(idx):
+            syms = [np.insert(block.syms[t][idx], m, 5 * z, axis=1) for t, z in enumerate(zs)]
+            leaves.append({"syms": syms})
     return leaves
 
 
 def _merge_leaves(parts: list[dict], tracks, n: int) -> dict:
-    m = n // 2
-    ntracks = len(tracks)
-    if not parts:
-        return {
-            "syms": [np.zeros((0, m), dtype=np.int8) for _ in range(ntracks)],
-            "centrals": (
-                [np.zeros(0, dtype=np.int8) for _ in range(ntracks)]
-                if n % 2
-                else None
-            ),
-        }
-    out = {
-        "syms": [
-            np.concatenate([p["syms"][t] for p in parts]) for t in range(ntracks)
-        ]
-    }
-    if n % 2:
-        out["centrals"] = [
-            np.concatenate([p["centrals"][t] for p in parts]) for t in range(ntracks)
-        ]
-    else:
-        out["centrals"] = None
-    return out
+    empty = np.zeros((0, n - n // 2), dtype=np.int8)
+    syms = [np.concatenate([empty] + [p["syms"][t] for p in parts]) for t in range(len(tracks))]
+    return {"syms": syms}
 
 
 # Most states one expansion takes.  Measured in-process on 2 cores at
@@ -472,13 +424,10 @@ def _take_chunk(queue: list[_Block]) -> _Block:
     return parts[0] if len(parts) == 1 else _Block.concat(parts)
 
 
-def run_search(
-    n: int,
-    tracks,
-    solutions: np.ndarray,
-    shard: tuple[int, int] = (0, 1),
-) -> dict:
-    """Enumerate every completed assignment; returns stacked symbol arrays.
+def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
+    """Enumerate every completed assignment of the tracks.  Returns
+    {"syms": per track, one row of n - n//2 raw quads per leaf}, the
+    central (odd n) as the last quad.
 
     Level k holds the states with pairs 1..k placed, as a queue of
     blocks.  Each step takes one chunk of at most CHUNK states from the
@@ -496,7 +445,7 @@ def run_search(
     the output of one expansion, and is strided as one block.
     """
     m = n // 2
-    rows = sum(t.pair_rows for t in tracks)
+    solutions = _solutions(n, tracks)
     levels = [None] + [_level(n, k, tracks, solutions) for k in range(1, m + 1)]
     shard_index, shard_count = shard
     split_level = min(3, m)
@@ -514,7 +463,7 @@ def run_search(
         queues[k].extend(block.take(slice(lo, lo + CHUNK)) for lo in range(0, len(block), CHUNK))
         sizes[k] += len(block)
 
-    push(0, _root(n, tracks, rows))
+    push(0, _root(n, tracks))
     leaves: list[dict] = []
     while True:
         full = [k for k in range(m + 1) if sizes[k] >= CHUNK]
@@ -533,7 +482,7 @@ def run_search(
         else:
             # bounds[m] is identically zero, so survivors already satisfy
             # every equation; they are the leaves.
-            leaves.append({"syms": block.syms, "centrals": None})
+            leaves.append({"syms": block.syms})
     return _merge_leaves(leaves, tracks, n)
 
 
@@ -543,47 +492,43 @@ def run_search(
 POOL_MIN_N = 17
 
 
-def _shard(n: int, tracks_of, solutions_of, index: int, total: int) -> dict:
-    return run_search(n, tracks_of(n), solutions_of(n), shard=(index, total))
-
-
 def _sign_rows(leaves: dict, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per track, the top and bottom +1/-1 rows (one per leaf, shape
-    (leaves, n)) that the raw quads and, for odd n, the centrals spell."""
+    (leaves, n)) that the raw quads spell: each quad's left column fills
+    the first n - n//2 positions in order, and its right column the last
+    n - n//2 in reverse.  For odd n both reach the central position, where
+    the central quad's two columns agree."""
     m = n // 2
     out = []
-    for t, syms in enumerate(leaves["syms"]):
+    for syms in leaves["syms"]:
         top = np.empty((len(syms), n), dtype=np.int8)
         bottom = np.empty_like(top)
-        top[:, :m], top[:, n - m:] = TOP_LEFT[syms], TOP_RIGHT[syms][:, ::-1]
-        bottom[:, :m], bottom[:, n - m:] = BOT_LEFT[syms], BOT_RIGHT[syms][:, ::-1]
-        if n % 2:
-            top[:, m], bottom[:, m] = VEC[leaves["centrals"][t]].T
+        top[:, :n - m], top[:, m:] = TOP_LEFT[syms], TOP_RIGHT[syms][:, ::-1]
+        bottom[:, :n - m], bottom[:, m:] = BOT_LEFT[syms], BOT_RIGHT[syms][:, ::-1]
         out.append((top, bottom))
     return out
 
 
-def _search(n: int, tracks_of, solutions_of, workers: int):
+def _search(n: int, tracks, workers: int):
     """The sign rows of every leaf, searched in this process or split
     into workers * 4 shards over one pool of workers processes."""
-    tracks = tracks_of(n)
     if workers > 1 and n >= POOL_MIN_N:
         shards = workers * 4
-        jobs = [(n, tracks_of, solutions_of, i, shards) for i in range(shards)]
+        jobs = [(n, tracks, (i, shards)) for i in range(shards)]
         with multiprocessing.Pool(workers) as pool:
-            leaves = _merge_leaves(pool.starmap(_shard, jobs), tracks, n)
+            leaves = _merge_leaves(pool.starmap(run_search, jobs), tracks, n)
     else:
-        leaves = run_search(n, tracks, solutions_of(n))
+        leaves = run_search(n, tracks)
     return _sign_rows(leaves, n)
 
 
 def search_normal(n: int, workers: int = 1):
     """All canonical-form candidates for NS(n) as sign rows:
     [(A, A), (C, D)], one row per candidate in each array."""
-    return _search(n, ns_tracks, ns_solutions, workers)
+    return _search(n, ns_tracks(n), workers)
 
 
 def search_golay(n: int, workers: int = 1):
     """All ordered pairs with identically vanishing combined correlation,
     as sign rows [(A, B)], one row per pair in each array."""
-    return _search(n, golay_tracks, golay_solutions, workers)
+    return _search(n, golay_tracks(n), workers)

@@ -21,12 +21,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .core import NormalQuadruple, SequenceError, is_normal
-from .quadcodec import (
-    CodeError,
-    SYMMETRIC_QUADS,
-    _COLUMN_TO_CENTRAL,
-    _MATRIX_TO_QUAD,
-)
+from .quadcodec import SYMMETRIC_QUADS, quad_labels
 
 Raw = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -180,25 +175,7 @@ def _codes_of_raw(raw: Raw):
     """Quad labels and central labels of (A;A) and (C;D), straight off the
     sign tuples (no BinarySeq wrappers, orbit scans call this a lot)."""
     a, c, d = raw
-    n = len(a)
-    m = n // 2
-    p = []
-    q = []
-    for i in range(m):
-        j = n - 1 - i
-        try:
-            p.append(_MATRIX_TO_QUAD[(a[i], a[j], a[i], a[j])])
-            q.append(_MATRIX_TO_QUAD[(c[i], c[j], d[i], d[j])])
-        except KeyError:
-            raise CodeError(
-                f"positions {i + 1} and {j + 1} do not form one of the eight quads"
-            ) from None
-    if n % 2:
-        p_cen = _COLUMN_TO_CENTRAL[(a[m], a[m])]
-        q_cen = _COLUMN_TO_CENTRAL[(c[m], d[m])]
-    else:
-        p_cen = q_cen = None
-    return p, p_cen, q, q_cen
+    return (*quad_labels(a, a), *quad_labels(c, d))
 
 
 def _violation_raw(raw: Raw) -> str | None:

@@ -177,9 +177,17 @@ def _relations(n: int):
     return rel, conjectured
 
 
-def _relation_samples(n: int, cases: int, seed: int) -> list[Raw]:
-    rng = random.Random(seed + n)
-    samples = [_random_quad_regular(n, rng) for _ in range(cases)]
+# The relations are checked on _RELATION_CASES random triples drawn from
+# a generator seeded with _RELATION_SEED + n.  They depend on n only
+# through its parity, so lengths past the paper's range, 40, are refused.
+_RELATION_SEED = 5417
+_RELATION_CASES = 200
+MAX_RELATION_N = 40
+
+
+def _relation_samples(n: int) -> list[Raw]:
+    rng = random.Random(_RELATION_SEED + n)
+    samples = [_random_quad_regular(n, rng) for _ in range(_RELATION_CASES)]
     # Mix in valid quadruples when they are cheap to produce, so the
     # relations are also exercised where they matter.
     if n <= 13:
@@ -191,7 +199,7 @@ def _relation_samples(n: int, cases: int, seed: int) -> list[Raw]:
     return samples
 
 
-def verify_relations(n: int, cases: int = 200, seed: int = 5417) -> list[RelationCheck]:
+def verify_relations(n: int) -> list[RelationCheck]:
     """Check every unambiguous stated relation on sampled quadruples.
 
     One stated relation contains an undefined factor and cannot be
@@ -200,7 +208,9 @@ def verify_relations(n: int, cases: int = 200, seed: int = 5417) -> list[Relatio
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    samples = _relation_samples(n, cases, seed)
+    if n > MAX_RELATION_N:
+        raise ValueError(f"n must be at most {MAX_RELATION_N}")
+    samples = _relation_samples(n)
     stated, conjectured = _relations(n)
 
     def check(

@@ -91,23 +91,28 @@ class QuadCode:
         return digits
 
 
-def decompose_pair(x: BinarySeq, y: BinarySeq, kind: str | None = None) -> QuadCode:
-    """Cut the pair (x;y) into quads plus, for odd length, a central column."""
-    if len(x) != len(y):
-        raise CodeError("the two sequences must share one length")
+def quad_labels(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[list[int], int | None]:
+    """The quad labels of the sign tuples x and y (one length), and the
+    central label for odd length, else None."""
     n = len(x)
     m = n // 2
     quads = []
     for i in range(m):
         j = n - 1 - i
-        matrix = (x[i], x[j], y[i], y[j])
-        sym = _MATRIX_TO_QUAD.get(matrix)
+        sym = _MATRIX_TO_QUAD.get((x[i], x[j], y[i], y[j]))
         if sym is None:
             raise CodeError(
                 f"positions {i + 1} and {j + 1} do not form one of the eight quads"
             )
         quads.append(sym)
-    central = _COLUMN_TO_CENTRAL[(x[m], y[m])] if n % 2 else None
+    return quads, _COLUMN_TO_CENTRAL[(x[m], y[m])] if n % 2 else None
+
+
+def decompose_pair(x: BinarySeq, y: BinarySeq, kind: str | None = None) -> QuadCode:
+    """Cut the pair (x;y) into quads plus, for odd length, a central column."""
+    if len(x) != len(y):
+        raise CodeError("the two sequences must share one length")
+    quads, central = quad_labels(x.terms, y.terms)
     if kind is None:
         kind = "aa" if x.terms == y.terms else "cd"
     return QuadCode(tuple(quads), central, kind)

@@ -38,8 +38,6 @@ class ClassRecord:
     golay_type: bool
 
 
-_CACHE: dict[int, tuple[ClassRecord, ...]] = {}
-
 # Largest length enumerate_classes searches.  Memory is bounded by the
 # engine's chunked traversal, so time sets the limit: the search grows
 # several-fold per length, and n = 26 takes about two minutes on two cores.
@@ -65,19 +63,11 @@ def _check_budget(n: int) -> None:
 def enumerate_classes(n: int, workers: int = 1) -> list[ClassRecord]:
     """One record per equivalence class of NS(n), in code order.
 
-    Results are cached per n; the worker count changes the schedule, not
-    the output.
+    The worker count changes the schedule, not the output.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_budget(n)
-    cached = _CACHE.get(n)
-    if cached is None:
-        cached = _CACHE[n] = tuple(_enumerate(n, workers))
-    return list(cached)
-
-
-def _enumerate(n: int, workers: int) -> list[ClassRecord]:
     if not three_squares_feasible(n):
         log.info("NS(%d) is empty: %d is not a sum of three squares", n, 2 * n)
         return []

@@ -145,11 +145,11 @@ class TestVerification:
         assert "PASS" in out and "UNVERIFIABLE" in out
         assert "FAIL" not in out.replace("UNVERIFIABLE", "")
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_verify_relations_rejects_nonpositive_length(self, capsys, value):
+    @pytest.mark.parametrize("value", ["0", "-1", "41"])
+    def test_verify_relations_rejects_out_of_range_length(self, capsys, value):
         code, out, err = run(capsys, "verify-relations", "--n", value)
         assert code == 2 and out == ""
-        assert "n must be at least 1" in err
+        assert ("n must be at most 40" if value == "41" else "n must be at least 1") in err
 
     def test_diff_tables_known_length(self, capsys):
         code, out, _ = run(capsys, "diff-tables", "--n", "2")

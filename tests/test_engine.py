@@ -1,11 +1,14 @@
 """Engine internals: the raw quad ids against the code labels, the
-row-sum reach tables against a direct broadcast of their predicate, the
-per-level frontier sizes of the search, the chunked depth-first
-traversal against a level-synchronous one, and the track tables against
-the symbol scans they replaced."""
+row-sum solutions derived from the tracks against hand-written solvers
+of the square identities, the row-sum reach tables against a direct
+broadcast of their predicate, the per-level frontier sizes of the
+search, the chunked depth-first traversal against a level-synchronous
+one, the track tables against the symbol scans they replaced, and the
+central column held as a quad."""
 
 import itertools
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -27,10 +30,9 @@ from nsq._engine import (
     _reach_table,
     _root,
     _row_strides,
+    _solutions,
     run_search,
-    golay_solutions,
     golay_tracks,
-    ns_solutions,
     ns_tracks,
 )
 from nsq.quadcodec import AA_QUADS, QUAD_MATRICES
@@ -42,6 +44,56 @@ def test_raw_ids_spell_the_quad_labels():
         signs = (TOP_LEFT[raw], TOP_RIGHT[raw], BOT_LEFT[raw], BOT_RIGHT[raw])
         assert tuple(int(v) for v in signs) == QUAD_MATRICES[label]
     assert {_CD_RAWS.index(raw) + 1 for raw in _AA_RAWS} == AA_QUADS
+
+
+def ns_solutions(n: int) -> np.ndarray:
+    """Integer solutions (a, c, d) of 2a^2 + c^2 + d^2 = 4n with the
+    parity a = c = d = n (mod 2) forced on every row sum."""
+    sols = []
+    amax = isqrt(2 * n)
+    cmax = isqrt(4 * n)
+    for a in range(-amax, amax + 1):
+        if (a - n) % 2:
+            continue
+        rest = 4 * n - 2 * a * a
+        for c in range(-cmax, cmax + 1):
+            if (c - n) % 2 or c * c > rest:
+                continue
+            d2 = rest - c * c
+            d = isqrt(d2)
+            if d * d != d2 or (d - n) % 2:
+                continue
+            sols.append((a, c, d))
+            if d:
+                sols.append((a, c, -d))
+    return np.array(sols, dtype=np.int16).reshape(-1, 3)
+
+
+def golay_solutions(n: int) -> np.ndarray:
+    """Integer solutions (a, b) of a^2 + b^2 = 2n, same parity rule."""
+    sols = []
+    amax = isqrt(2 * n)
+    for a in range(-amax, amax + 1):
+        if (a - n) % 2:
+            continue
+        b2 = 2 * n - a * a
+        b = isqrt(b2)
+        if b * b != b2 or (b - n) % 2:
+            continue
+        sols.append((a, b))
+        if b:
+            sols.append((a, -b))
+    return np.array(sols, dtype=np.int16).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_solutions_follow_from_the_tracks(n):
+    # The repeated pair is one row of weight 2, the other pairs two rows
+    # of weight 1: the derived solutions are the hand-solved identities.
+    for tracks, solver in ((ns_tracks, ns_solutions), (golay_tracks, golay_solutions)):
+        derived = _solutions(n, tracks(n))
+        assert derived.dtype == np.int16
+        assert sorted(map(tuple, derived.tolist())) == sorted(map(tuple, solver(n).tolist()))
 
 
 def reachable_oracle(partial: np.ndarray, solutions: np.ndarray, remaining: int) -> np.ndarray:
@@ -77,11 +129,12 @@ def test_reach_table_of_empty_solution_set_is_all_false():
         assert not _reach_table(19, golay_solutions(19), remaining).any()
 
 
-def level_search(n: int, tracks, solutions, chunk: int = 1 << 15):
+def level_search(n: int, tracks, chunk: int = 1 << 15):
     """The level-synchronous search: expand a whole level, chunk by chunk,
     before starting the next.  Returns the states left after each level
     k = 1..n//2 and the merged leaves."""
-    blocks = [_root(n, tracks, solutions.shape[1])]
+    solutions = _solutions(n, tracks)
+    blocks = [_root(n, tracks)]
     sizes = []
     for k in range(1, n // 2 + 1):
         level = _level(n, k, tracks, solutions)
@@ -96,31 +149,26 @@ def level_search(n: int, tracks, solutions, chunk: int = 1 << 15):
     if n % 2:
         parts = [leaf for block in blocks for leaf in _central_leaves(block, n, tracks)]
     else:
-        parts = [{"syms": block.syms, "centrals": None} for block in blocks]
+        parts = [{"syms": block.syms} for block in blocks]
     return sizes, _merge_leaves(parts, tracks, n)
 
 
 def leaf_rows(leaves: dict) -> list[tuple]:
-    """Each leaf as one row (every track's symbols, then the centrals),
-    sorted, so that searches visiting leaves in any order compare equal."""
-    cols = list(leaves["syms"]) + [c[:, None] for c in leaves["centrals"] or []]
-    return sorted(map(tuple, np.concatenate(cols, axis=1).tolist()))
+    """Each leaf as one row (every track's quads side by side), sorted, so
+    that searches visiting leaves in any order compare equal."""
+    return sorted(map(tuple, np.concatenate(leaves["syms"], axis=1).tolist()))
 
 
-SEARCHES = {
-    "ns": (ns_tracks, ns_solutions),
-    "golay": (golay_tracks, golay_solutions),
-}
+SEARCHES = {"ns": ns_tracks, "golay": golay_tracks}
 
 
 def search_inputs(kind: str, n: int):
-    tracks, solutions = SEARCHES[kind]
-    return tracks(n), solutions(n)
+    return SEARCHES[kind](n)
 
 
 @lru_cache(maxsize=None)
 def oracle(kind: str, n: int) -> tuple[list[int], list[tuple]]:
-    sizes, leaves = level_search(n, *search_inputs(kind, n))
+    sizes, leaves = level_search(n, search_inputs(kind, n))
     return sizes, leaf_rows(leaves)
 
 
@@ -147,15 +195,15 @@ def test_frontier_sizes_match_golden(kind, n):
 @pytest.mark.parametrize("n", range(1, 21))
 @pytest.mark.parametrize("kind", sorted(SEARCHES))
 def test_run_search_matches_level_synchronous_oracle(kind, n):
-    assert leaf_rows(run_search(n, *search_inputs(kind, n))) == oracle(kind, n)[1]
+    assert leaf_rows(run_search(n, search_inputs(kind, n))) == oracle(kind, n)[1]
 
 
 @pytest.mark.parametrize("shards", [2, 8])
 @pytest.mark.parametrize("n", range(1, 21))
 @pytest.mark.parametrize("kind", sorted(SEARCHES))
 def test_shards_partition_the_search(kind, n, shards):
-    tracks, solutions = search_inputs(kind, n)
-    parts = [run_search(n, tracks, solutions, shard=(i, shards)) for i in range(shards)]
+    tracks = search_inputs(kind, n)
+    parts = [run_search(n, tracks, shard=(i, shards)) for i in range(shards)]
     assert leaf_rows(_merge_leaves(parts, tracks, n)) == oracle(kind, n)[1]
 
 
@@ -178,7 +226,7 @@ def test_traversal_is_chunked_and_deepest_first(monkeypatch):
     monkeypatch.setattr(_engine, "_expand", spy)
     for kind in SEARCHES:
         held[:] = [1] + [0] * (n // 2)
-        run_search(n, *search_inputs(kind, n))
+        run_search(n, search_inputs(kind, n))
         assert held[:n // 2] == [0] * (n // 2)
     # Both frontiers pass 10 * CHUNK, so full chunks are taken.
     assert max(seen) == CHUNK
@@ -190,7 +238,7 @@ def test_tiny_chunks_match_oracle(monkeypatch, kind, n):
     # joined at every level, and odd n takes its central-column step
     # piece by piece.
     monkeypatch.setattr(_engine, "CHUNK", 37)
-    assert leaf_rows(run_search(n, *search_inputs(kind, n))) == oracle(kind, n)[1]
+    assert leaf_rows(run_search(n, search_inputs(kind, n))) == oracle(kind, n)[1]
 
 
 def test_level_setup_is_built_once_per_level(monkeypatch):
@@ -213,7 +261,7 @@ def test_level_setup_is_built_once_per_level(monkeypatch):
     for kind in SEARCHES:
         built.clear()
         expanded.clear()
-        run_search(20, *search_inputs(kind, 20))
+        run_search(20, search_inputs(kind, 20))
         assert sorted(built) == list(range(1, 11))
         # Level 9 holds ~0.5 M states (GOLDEN_FRONTIERS), so placing pair
         # 10 takes over a hundred chunks.
@@ -275,11 +323,24 @@ def test_central_table_matches_symbol_scan(monkeypatch, n):
         return _central_leaves(block, n_, tracks)
 
     monkeypatch.setattr(_engine, "_central_leaves", spy)
-    tracks, solutions = search_inputs("ns", n)
-    run_search(n, tracks, solutions)
+    tracks = search_inputs("ns", n)
+    run_search(n, tracks)
     assert blocks
     for block in blocks:
         for t, oracle_mask in enumerate((aa_central_oracle, cd_central_oracle)):
             for z in range(4):
                 table = tracks[t].central[block.fst[:, t], z]
                 assert np.array_equal(table, oracle_mask(block.syms[t], z)), (t, z)
+
+
+@pytest.mark.parametrize("n", range(1, 20, 2))
+def test_central_is_the_last_quad(n):
+    # The central column z is held as the raw quad 5*z, both columns z;
+    # the repeated pair's central is 0 or 3, so its quad is 0 or 15.
+    leaves = {kind: run_search(n, search_inputs(kind, n))["syms"] for kind in SEARCHES}
+    assert len(leaves["ns"][0]) or n == 17  # NS(17) alone has no class
+    for kind, syms in leaves.items():
+        for t, quads in enumerate(syms):
+            assert quads.shape[1] == n - n // 2
+            allowed = {0, 15} if kind == "ns" and t == 0 else {0, 5, 10, 15}
+            assert set(quads[:, -1].tolist()) <= allowed

@@ -100,26 +100,26 @@ class TestRealizedOrder:
 class TestRelations:
     @pytest.mark.parametrize("n", [4, 5])
     def test_all_stated_relations_hold(self, n):
-        checks = verify_relations(n, cases=150)
+        checks = verify_relations(n)
         failed = [c for c in checks if c.status == "FAIL"]
         assert not failed, failed
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_garbled_relation_is_reported_unverifiable(self, n):
-        checks = verify_relations(n, cases=10)
+        checks = verify_relations(n)
         unverifiable = [c for c in checks if c.status == "UNVERIFIABLE"]
         assert len(unverifiable) == 1
         assert "sigma_1" in unverifiable[0].name
 
     def test_replacement_relation_is_checked(self):
-        checks = verify_relations(6, cases=100)
+        checks = verify_relations(6)
         replacement = [c for c in checks if "replacement" in c.name]
         assert replacement and replacement[0].status == "PASS"
 
     def test_parity_dependent_exponent(self):
         # the alternation/reversal relation degenerates differently by parity
         for n in (4, 5):
-            checks = verify_relations(n, cases=100)
+            checks = verify_relations(n)
             names = [c.name for c in checks if "reverse_c o negate_c" in c.name]
             assert names
 

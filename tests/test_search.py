@@ -67,16 +67,15 @@ class TestEnumerate:
 
     def test_parallel_matches_serial(self, monkeypatch):
         # Both searches, through the shard pool and in-process; odd n
-        # also runs the central-column leaf step in every shard.  _enumerate
-        # bypasses the per-length result cache.  The pool threshold is
-        # lowered so that these short searches still use the pool.
+        # also runs the central-column leaf step in every shard.  The pool
+        # threshold is lowered so that these short searches still use the
+        # pool.
         from nsq import _engine
         from nsq.golay import golay_pairs
-        from nsq.search import _enumerate
 
         monkeypatch.setattr(_engine, "POOL_MIN_N", 1)
 
-        searches = {"ns": _enumerate, "golay": golay_pairs}
+        searches = {"ns": enumerate_classes, "golay": golay_pairs}
         for kind, n in [("ns", 13), ("ns", 12), ("golay", 10), ("golay", 12)]:
             serial = searches[kind](n, workers=1)
             assert searches[kind](n, workers=2) == serial, f"{kind} n={n}"
