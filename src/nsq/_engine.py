@@ -21,10 +21,11 @@ survivors:
 
 All arithmetic is integer.
 
-run_search visits the states depth-first in chunks of at most CHUNK
-states, deepest level first, so a level holds less than one chunk plus
-the output of one expansion: memory is bounded by CHUNK and n, not by
-the frontier, which grows several-fold per level.
+run_search descends recursively, expanding slices of at most CHUNK
+states and searching each slice's output to the end before taking the
+next, so a level holds at most the unexpanded rest of one expansion:
+memory is bounded by CHUNK and n, not by the frontier, which grows
+several-fold per level.
 
 A search is defined by its tracks alone: the square identity its row
 sums must reach follows from which sequences each track holds
@@ -44,7 +45,6 @@ raw ids.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
@@ -263,16 +263,6 @@ class _Block:
             self.alt[idx],
         )
 
-    @staticmethod
-    def concat(blocks: list[_Block]) -> _Block:
-        return _Block(
-            np.concatenate([b.p for b in blocks]),
-            [np.concatenate(parts) for parts in zip(*(b.syms for b in blocks))],
-            np.concatenate([b.fst for b in blocks]),
-            np.concatenate([b.plain for b in blocks]),
-            np.concatenate([b.alt for b in blocks]),
-        )
-
     def __len__(self):
         return len(self.p)
 
@@ -379,26 +369,29 @@ def _expand(block: _Block, n: int, k: int, tracks, level: _Level) -> _Block | No
     return _Block(p_new, syms_new, fst_new, plain, alt)
 
 
-def _central_leaves(block: _Block, n: int, tracks) -> list[dict]:
-    """For odd n, try every central combination and keep the states whose
-    prefix states admit it and whose full correlation table vanishes; the
-    central z is appended to each track's quads as the raw quad 5*z."""
+def _central_leaves(block: _Block, n: int, tracks) -> dict:
+    """For odd n, try every central combination (z_1..z_T) at once and
+    keep the states whose prefix states admit it and whose full
+    correlation table vanishes; each track's z is appended to its quads
+    as the raw quad 5*z.  One broadcast over (states, z_1..z_T, shifts):
+    the central meets pair j at shift m+1-j, and the shifts above m do
+    not meet it and already vanish (bounds[m] is zero there)."""
     m = n // 2
-    leaves = []
-    for zs in itertools.product(range(4), repeat=len(tracks)):
-        admitted = np.ones(len(block), dtype=bool)
-        for t, track in enumerate(tracks):
-            admitted &= track.central[block.fst[:, t], zs[t]]
-        idx = np.nonzero(admitted)[0]
-        p_c = block.p[idx]
-        for t in range(len(tracks)):
-            for j in range(1, m + 1):
-                p_c[:, m + 1 - j] += DD[block.syms[t][idx, j - 1], 5 * zs[t]]
-        idx = idx[(p_c[:, 1:] == 0).all(axis=1)]
-        if len(idx):
-            syms = [np.insert(block.syms[t][idx], m, 5 * z, axis=1) for t, z in enumerate(zs)]
-            leaves.append({"syms": syms})
-    return leaves
+    states, axes = len(block), len(tracks)
+    corr = block.p[:, m:0:-1].reshape((states,) + (1,) * axes + (m,))
+    admitted = np.ones((states,) + (1,) * axes, dtype=bool)
+    for t, track in enumerate(tracks):
+        shape = [states] + [1] * axes
+        shape[1 + t] = 4
+        corr = corr + DD[block.syms[t][:, None, :], 5 * np.arange(4)[:, None]].reshape(shape + [m])
+        admitted = admitted & track.central[block.fst[:, t]].reshape(shape)
+    rows, *zs = np.nonzero(admitted & (corr == 0).all(axis=-1))
+    return {
+        "syms": [
+            np.concatenate([block.syms[t][rows], (5 * z[:, None]).astype(np.int8)], axis=1)
+            for t, z in enumerate(zs)
+        ]
+    }
 
 
 def _merge_leaves(parts: list[dict], tracks, n: int) -> dict:
@@ -407,21 +400,11 @@ def _merge_leaves(parts: list[dict], tracks, n: int) -> dict:
     return {"syms": syms}
 
 
-# Most states one expansion takes.  Measured in-process on 2 cores at
-# n = 20 and 22: 1 << 10 runs ~30% slower, while 1 << 14 and 1 << 15 run
-# no faster and peak 15-45 MB higher.
+# Most states one expansion takes.  Measured on the recursive descent,
+# in-process on 2 cores, NS n = 20 and 22: 1 << 10 runs 7-30% slower,
+# while 1 << 14 and 1 << 15 run no faster and peak 16-46 MB higher than
+# the 39-42 MB of 1 << 12.
 CHUNK = 1 << 12
-
-
-def _take_chunk(queue: list[_Block]) -> _Block:
-    """Pop the last block of a level's queue, joined with the blocks
-    before it while the total stays within CHUNK states."""
-    parts = [queue.pop()]
-    size = len(parts[0])
-    while queue and size + len(queue[-1]) <= CHUNK:
-        parts.append(queue.pop())
-        size += len(parts[-1])
-    return parts[0] if len(parts) == 1 else _Block.concat(parts)
 
 
 def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
@@ -429,60 +412,42 @@ def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
     {"syms": per track, one row of n - n//2 raw quads per leaf}, the
     central (odd n) as the last quad.
 
-    Level k holds the states with pairs 1..k placed, as a queue of
-    blocks.  Each step takes one chunk of at most CHUNK states from the
-    deepest level holding a full chunk, or else from the deepest
-    non-empty level, and expands it into the next level; chunks taken
-    from the last level are the leaves (even n) or go through the
-    central-column step (odd n).  A level is only fed while every deeper
-    level holds less than a chunk, so each level holds less than one
-    chunk plus the output of one expansion, and memory stays bounded
-    whatever the frontier size.
+    A recursive descent: the output of one expansion (the states with
+    pairs 1..k placed) is expanded into pair k+1 in slices of at most
+    CHUNK states, each slice's output searched to the end before the next
+    slice is taken.  The last level's output goes whole to the leaf step:
+    it is the leaves (even n) or goes through the central-column step
+    (odd n).  So each level holds at most the unexpanded rest of one
+    expansion, and memory stays bounded whatever the frontier size.
 
     shard=(i, w) deterministically keeps every w-th state of the level-3
     frontier (level n//2 when that is shallower), so the w shards
-    i = 0..w-1 partition the search.  That frontier is at most one chunk,
-    the output of one expansion, and is strided as one block.
+    i = 0..w-1 partition the search.  That frontier is the output of one
+    expansion, and is strided as one block.
     """
     m = n // 2
     solutions = _solutions(n, tracks)
     levels = [None] + [_level(n, k, tracks, solutions) for k in range(1, m + 1)]
     shard_index, shard_count = shard
-    split_level = min(3, m)
-
-    queues: list[list[_Block]] = [[] for _ in range(m + 1)]
-    sizes = [0] * (m + 1)
-
-    def push(k: int, block: _Block) -> None:
-        if k == split_level and shard_count > 1:
-            block = block.take(np.arange(shard_index, len(block), shard_count))
-        # Queued as slices of one chunk each.  Only a block's last slice
-        # can be short and the newest slice is taken first, so every slice
-        # of a block is taken before its level next holds less than a
-        # chunk: a slice never keeps a spent block alive.
-        queues[k].extend(block.take(slice(lo, lo + CHUNK)) for lo in range(0, len(block), CHUNK))
-        sizes[k] += len(block)
-
-    push(0, _root(n, tracks))
     leaves: list[dict] = []
-    while True:
-        full = [k for k in range(m + 1) if sizes[k] >= CHUNK]
-        live = full or [k for k in range(m + 1) if sizes[k]]
-        if not live:
-            break
-        k = live[-1]
-        block = _take_chunk(queues[k])
-        sizes[k] -= len(block)
-        if k < m:
-            expanded = _expand(block, n, k + 1, tracks, levels[k + 1])
-            if expanded is not None:
-                push(k + 1, expanded)
-        elif n % 2:
-            leaves.extend(_central_leaves(block, n, tracks))
-        else:
-            # bounds[m] is identically zero, so survivors already satisfy
-            # every equation; they are the leaves.
-            leaves.append({"syms": block.syms})
+
+    def descend(block: _Block | None, k: int) -> None:
+        # The block is held by this frame alone, so it is freed on return,
+        # before its level's next slice is expanded.
+        if block is None:
+            return
+        if k == min(3, m) and shard_count > 1:
+            block = block.take(np.arange(shard_index, len(block), shard_count))
+        if k == m:
+            # bounds[m] is identically zero, so for even n the survivors
+            # already satisfy every equation; they are the leaves.
+            leaves.append(_central_leaves(block, n, tracks) if n % 2 else {"syms": block.syms})
+            return
+        for lo in range(0, len(block), CHUNK):
+            chunk = block.take(slice(lo, lo + CHUNK))
+            descend(_expand(chunk, n, k + 1, tracks, levels[k + 1]), k + 1)
+
+    descend(_root(n, tracks), 0)
     return _merge_leaves(leaves, tracks, n)
 
 

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .core import BinarySeq, SequenceError, npaf
+from .core import BinarySeq, SequenceError, npaf, three_squares_feasible
 from .equivalence import canonicalize_with_distance
 from .golay import GolayError, golay_pairs, golay_type_class_count
 from .group import verify_relations
@@ -57,14 +57,8 @@ def _cmd_search(args) -> int:
         }
         print(json.dumps(payload))
         return 0
-    if not records:
-        from .core import three_squares_feasible
-
-        if not three_squares_feasible(args.n):
-            print(
-                f"# no classes: {2 * args.n} is not a sum of three squares",
-                file=sys.stderr,
-            )
+    if not records and not three_squares_feasible(args.n):
+        print(f"# no classes: {2 * args.n} is not a sum of three squares", file=sys.stderr)
     for r in records:
         line = f"{r.index} {r.p_code} {r.q_code}"
         if args.tag_golay:
@@ -164,8 +158,8 @@ def _cmd_golay(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    diff = diff_against_search(args.n, workers=_threads(args.threads))
     allow = load_allowlist(args.allowlist) if args.allowlist else load_allowlist()
+    diff = diff_against_search(args.n, workers=_threads(args.threads))
     known = any(n == args.n and check == "search-match" for n, _, check in allow)
     if diff.identical:
         print(f"n={args.n}: search output matches the reference rows")

@@ -1,14 +1,15 @@
 """Exhaustive Golay pair search, the two embeddings into normal
 sequences, and the Golay-type class count.
 
-The pair search reuses the outward-in engine with the target table
-identically zero, so one pruning core backs both enumerations."""
+The pair search reuses the outward-in engine of the class enumerator,
+so one pruning core backs both enumerations.  It differs only in its
+track: one track over the 8 orthogonal quads, with no prefix state
+machine, whose row sums must reach the identity a^2 + b^2 = 2n."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _engine
 from .core import BinarySeq, NormalQuadruple, alternate, negate, npaf, reverse
 from .equivalence import are_equivalent, canonical_raw
 
@@ -48,6 +49,8 @@ def golay_pairs(n: int, workers: int = 1) -> list[GolayPair]:
         raise GolayError(
             f"exhaustive pair search is budgeted up to n = {MAX_EXHAUSTIVE}"
         )
+    from . import _engine  # numpy loads only when a search runs
+
     ((a_rows, b_rows),) = _engine.search_golay(n, workers)
     rows = sorted(zip(map(tuple, a_rows.tolist()), map(tuple, b_rows.tolist())))
     return [GolayPair(BinarySeq(a), BinarySeq(b)) for a, b in rows]

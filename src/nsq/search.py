@@ -13,9 +13,6 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from . import _engine
 from .core import BinarySeq, NormalQuadruple, is_normal, three_squares_feasible
 from .equivalence import canonical_raw, canonical_violation, is_golay_type
 from .quadcodec import decode_quadruple, encode_quadruple, parse_code
@@ -71,6 +68,8 @@ def enumerate_classes(n: int, workers: int = 1) -> list[ClassRecord]:
     if not three_squares_feasible(n):
         log.info("NS(%d) is empty: %d is not a sum of three squares", n, 2 * n)
         return []
+    from . import _engine  # numpy loads only when a search runs
+
     (a_rows, _), (c_rows, d_rows) = _engine.search_normal(n, workers)
     leaves = []
     for a, c, d in zip(a_rows.tolist(), c_rows.tolist(), d_rows.tolist()):
@@ -117,6 +116,8 @@ def exhaustive_normal_quadruples(n: int) -> tuple[tuple, ...]:
     cache holds at most the ten results (a few thousand triples)."""
     if not 1 <= n <= 10:
         raise ValueError("exhaustive enumeration is capped at n = 10")
+    import numpy as np
+
     count = 1 << n
     bits = (np.arange(count, dtype=np.int64)[:, None] >> np.arange(n)[::-1]) & 1
     seqs = (1 - 2 * bits).astype(np.int8)

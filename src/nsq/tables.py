@@ -62,10 +62,13 @@ class ReferenceTables:
         return sorted({r.n for r in self.reps})
 
 
-def _data_path(name: str, data_dir: str | Path | None) -> str:
-    if data_dir is not None:
-        return (Path(data_dir) / name).read_text()
-    return (resources.files(__package__) / "data" / name).read_text()
+def _read_data(name: str, path: str | Path | None) -> str:
+    """The text of the data file at path, else of the bundled file name."""
+    source = resources.files(__package__) / "data" / name if path is None else Path(path)
+    try:
+        return source.read_text()
+    except OSError as exc:
+        raise TableError(f"cannot read {source}: {exc.strerror or exc}") from None
 
 
 def _parse_lines(text: str, name: str, fields: int):
@@ -81,10 +84,13 @@ def _parse_lines(text: str, name: str, fields: int):
 
 def load_tables(data_dir: str | Path | None = None) -> ReferenceTables:
     """Load and structurally validate the bundled tables."""
+
+    def table(name: str, fields: int):
+        path = None if data_dir is None else Path(data_dir) / name
+        return _parse_lines(_read_data(name, path), name, fields)
+
     counts: dict[int, CountRow] = {}
-    for lineno, parts in _parse_lines(
-        _data_path("class_counts.txt", data_dir), "class_counts.txt", 4
-    ):
+    for lineno, parts in table("class_counts.txt", 4):
         try:
             n, equ, gol, spo = (int(p) for p in parts)
         except ValueError:
@@ -98,9 +104,7 @@ def load_tables(data_dir: str | Path | None = None) -> ReferenceTables:
         counts[n] = CountRow(n, equ, gol, spo)
 
     reps: list[RepRow] = []
-    for lineno, parts in _parse_lines(
-        _data_path("representatives.txt", data_dir), "representatives.txt", 5
-    ):
+    for lineno, parts in table("representatives.txt", 5):
         n_text, index_text, p_code, q_code, tag = parts
         try:
             n, index = int(n_text), int(index_text)
@@ -130,12 +134,8 @@ def load_tables(data_dir: str | Path | None = None) -> ReferenceTables:
 
 def load_allowlist(path: str | Path | None = None) -> set[tuple[int, int, str]]:
     """Known-discrepancy entries as (n, index, check) triples."""
-    if path is None:
-        text = (resources.files(__package__) / "data" / "allowlist.txt").read_text()
-        name = "allowlist.txt"
-    else:
-        text = Path(path).read_text()
-        name = str(path)
+    text = _read_data("allowlist.txt", path)
+    name = "allowlist.txt" if path is None else str(path)
     entries = set()
     for lineno, parts in _parse_lines(text, name, 3):
         try:

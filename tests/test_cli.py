@@ -139,6 +139,26 @@ class TestVerification:
         assert code == 1
         assert "unexpected" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify-tables", "--data", "{missing}"),
+        ("verify-tables", "--allowlist", "{missing}"),
+        ("diff-tables", "--n", "5", "--allowlist", "{missing}"),
+    ])
+    def test_missing_input_file_is_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        # Exit 1 means findings; a file that cannot be read is exit 2,
+        # before any search starts.
+        from nsq import search
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before reading the input files")
+
+        monkeypatch.setattr(search, "enumerate_classes", no_search)
+        missing = tmp_path / "missing"
+        code, _, err = run(capsys, *(a.format(missing=missing) for a in argv))
+        assert code == 2
+        assert err.startswith(f"error: cannot read {missing}")
+        assert "No such file or directory" in err
+
     def test_verify_relations(self, capsys):
         code, out, _ = run(capsys, "verify-relations", "--n", "5")
         assert code == 0
@@ -252,3 +272,14 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "4 -1 0 1"
+
+    def test_import_leaves_numpy_unloaded(self):
+        # Commands that never search (verify-tables, canon, npaf, ...)
+        # should not pay for importing numpy or the engine.
+        import subprocess
+        import sys
+
+        code = "import sys, nsq.cli; print(sorted({'numpy', 'nsq._engine'} & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -3,8 +3,9 @@ row-sum solutions derived from the tracks against hand-written solvers
 of the square identities, the row-sum reach tables against a direct
 broadcast of their predicate, the per-level frontier sizes of the
 search, the chunked depth-first traversal against a level-synchronous
-one, the track tables against the symbol scans they replaced, and the
-central column held as a quad."""
+one, the track tables against the symbol scans they replaced, the
+central column held as a quad, and its one-broadcast step against a
+loop over the central combinations."""
 
 import itertools
 from functools import lru_cache
@@ -20,6 +21,7 @@ from nsq._engine import (
     BOT_LEFT,
     BOT_RIGHT,
     CHUNK,
+    DD,
     ORTHOGONAL_RAWS,
     TOP_LEFT,
     TOP_RIGHT,
@@ -129,6 +131,27 @@ def test_reach_table_of_empty_solution_set_is_all_false():
         assert not _reach_table(19, golay_solutions(19), remaining).any()
 
 
+def central_leaves_oracle(block, n: int, tracks) -> dict:
+    """The central-column step one combination at a time: for each
+    (z_1..z_T), keep the states whose prefix states admit it and whose
+    whole correlation table vanishes once it is placed."""
+    m = n // 2
+    parts = []
+    for zs in itertools.product(range(4), repeat=len(tracks)):
+        admitted = np.ones(len(block), dtype=bool)
+        for t, track in enumerate(tracks):
+            admitted &= track.central[block.fst[:, t], zs[t]]
+        idx = np.nonzero(admitted)[0]
+        p_c = block.p[idx]
+        for t in range(len(tracks)):
+            for j in range(1, m + 1):
+                p_c[:, m + 1 - j] += DD[block.syms[t][idx, j - 1], 5 * zs[t]]
+        idx = idx[(p_c[:, 1:] == 0).all(axis=1)]
+        syms = [np.insert(block.syms[t][idx], m, 5 * z, axis=1) for t, z in enumerate(zs)]
+        parts.append({"syms": syms})
+    return _merge_leaves(parts, tracks, n)
+
+
 def level_search(n: int, tracks, chunk: int = 1 << 15):
     """The level-synchronous search: expand a whole level, chunk by chunk,
     before starting the next.  Returns the states left after each level
@@ -147,7 +170,7 @@ def level_search(n: int, tracks, chunk: int = 1 << 15):
         blocks = nxt
         sizes.append(sum(len(b) for b in blocks))
     if n % 2:
-        parts = [leaf for block in blocks for leaf in _central_leaves(block, n, tracks)]
+        parts = [central_leaves_oracle(block, n, tracks) for block in blocks]
     else:
         parts = [{"syms": block.syms} for block in blocks]
     return sizes, _merge_leaves(parts, tracks, n)
@@ -209,15 +232,17 @@ def test_shards_partition_the_search(kind, n, shards):
 
 def test_traversal_is_chunked_and_deepest_first(monkeypatch):
     # Count the states each level holds from what _expand consumes and
-    # produces.  A level may only be expanded while every deeper one
-    # holds less than a chunk, and no expansion takes more than a chunk.
+    # produces.  No expansion takes more than a chunk, and while a level
+    # is expanded every deeper level it feeds is empty: each expansion's
+    # output is searched to the end before the next slice is taken.
     n = 18
     seen, held = [], []
 
     def spy(block, n_, k, *args):
         seen.append(len(block))
+        assert len(block) <= CHUNK
         held[k - 1] -= len(block)
-        assert all(h < CHUNK for h in held[k:n // 2]), (k, held)
+        assert not any(held[k:n // 2]), (k, held)
         out = _expand(block, n_, k, *args)
         if out is not None:
             held[k] += len(out)
@@ -234,9 +259,9 @@ def test_traversal_is_chunked_and_deepest_first(monkeypatch):
 
 @pytest.mark.parametrize("kind, n", [("ns", 15), ("ns", 16), ("golay", 16)])
 def test_tiny_chunks_match_oracle(monkeypatch, kind, n):
-    # Chunks far smaller than a level's blocks: blocks are split and
-    # joined at every level, and odd n takes its central-column step
-    # piece by piece.
+    # Chunks far smaller than a level's blocks: every expansion's output
+    # is split at every level, and odd n takes its central-column step on
+    # many small blocks.
     monkeypatch.setattr(_engine, "CHUNK", 37)
     assert leaf_rows(run_search(n, search_inputs(kind, n))) == oracle(kind, n)[1]
 
@@ -331,6 +356,28 @@ def test_central_table_matches_symbol_scan(monkeypatch, n):
             for z in range(4):
                 table = tracks[t].central[block.fst[:, t], z]
                 assert np.array_equal(table, oracle_mask(block.syms[t], z)), (t, z)
+
+
+@pytest.mark.parametrize("n", range(1, 22, 2))
+@pytest.mark.parametrize("kind", sorted(SEARCHES))
+def test_central_broadcast_matches_per_combination_oracle(monkeypatch, kind, n):
+    # Every block that reaches the central step, through the broadcast
+    # over all central combinations and through the loop over them.
+    tracks = search_inputs(kind, n)
+    steps = []
+
+    def spy(block, n_, tracks_):
+        steps.append((block, _central_leaves(block, n_, tracks_)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(_engine, "_central_leaves", spy)
+    run_search(n, tracks)
+    # Odd Golay lengths above 1 have no row-sum solution, so no state
+    # gets past pair 1.
+    assert steps or (kind == "golay" and n > 1)
+    for block, got in steps:
+        assert leaf_rows(got) == leaf_rows(central_leaves_oracle(block, n, tracks))
+        assert all(syms.dtype == np.int8 for syms in got["syms"])
 
 
 @pytest.mark.parametrize("n", range(1, 20, 2))
