@@ -10,16 +10,21 @@ survivors:
 
 1. exact + prefix: after step k the combined correlation at shift n-k is
    fully determined and must vanish, and each track's state machine must
-   accept the new quad;
+   accept the new quad; both are one gate table per track (see _Level),
+   so the check is one row gather per track and one compare;
 2. row sums: the plain and alternating partial row sums must still reach
    an integer solution of the square identity the completed sequences
-   satisfy, looked up in a table built once per level (_level);
+   satisfy, looked up in a table built once per level (_levels);
 3. correlation bound: every other shift is bounded by the number of
    products it still misses;
 4. materialisation: only now are the symbol prefixes and prefix states
    of the survivors gathered into the next block.
 
-All arithmetic is integer.
+All arithmetic is integer.  A block is held shift-major (see _Block):
+each shift's correlations, each pair's quads and each track's prefix
+states are one contiguous row over the states, so the survivors are
+gathered column-wise and every update and bound check runs along whole
+rows.
 
 run_search descends recursively, expanding slices of at most CHUNK
 states and searching each slice's output to the end before taking the
@@ -242,8 +247,13 @@ def _row_strides(n: int, rows: int) -> np.ndarray:
 
 
 class _Block:
-    """A chunk of search states.  plain and alt hold each state's plain and
-    alternating row-sum vectors as flat reach-table indices."""
+    """A chunk of search states, held shift-major: one contiguous row per
+    shift, pair or track, one column per state.  p is (n, states), the
+    combined correlation at each shift (row 0 unused); syms holds per
+    track the raw quads placed so far, (pairs, states) int8; fst is
+    (tracks, states), each track's prefix state.  plain and alt hold each
+    state's plain and alternating row-sum vectors as flat reach-table
+    indices."""
 
     __slots__ = ("p", "syms", "fst", "plain", "alt")
 
@@ -256,115 +266,154 @@ class _Block:
 
     def take(self, idx):
         return _Block(
-            self.p[idx],
-            [s[idx] for s in self.syms],
-            self.fst[idx],
+            self.p[:, idx],
+            [s[:, idx] for s in self.syms],
+            self.fst[:, idx],
             self.plain[idx],
             self.alt[idx],
         )
 
     def __len__(self):
-        return len(self.p)
+        return self.p.shape[1]
 
 
 def _root(n: int, tracks) -> _Block:
     rows = sum(t.pair_rows for t in tracks)
     origin = np.array([n * int(_row_strides(n, rows).sum())], dtype=np.int32)
     return _Block(
-        np.zeros((1, n), dtype=np.int16),
-        [np.zeros((1, 0), dtype=np.int8) for _ in tracks],
-        np.zeros((1, len(tracks)), dtype=np.int8),
+        np.zeros((n, 1), dtype=np.int16),
+        [np.zeros((0, 1), dtype=np.int8) for _ in tracks],
+        np.zeros((len(tracks), 1), dtype=np.int8),
         origin,
         origin.copy(),
     )
 
 
+# Gate value of a quad the prefix state machine forbids.  It exceeds every
+# sum of the other terms of the exact check (each track's |SS| <= 4 and the
+# level's correlation bound), so no such sum can cancel it to zero, and
+# tracks * _FORBIDDEN stays far inside int16.
+_FORBIDDEN = 1 << 12
+
+
 class _Level(NamedTuple):
-    """The state-free constants of placing pair k, built once by _level."""
+    """The state-free constants of placing pair k, built once per search
+    by _levels.
+
+    gate folds each track's exact-check term and prefix machine into one
+    int16 table of shape (16 * states, combinations).  Its row
+    16 * state + a holds, per combination, what the track's new quad adds
+    at shift n-k when pair 1 holds the quad a, or _FORBIDDEN where state
+    does not allow the new quad.  The new quad meets pair 1 through SS,
+    except at k = 1, where it is pair 1 and meets itself through SC (and
+    a is 0); so the levels past the first share one gate per track."""
 
     units: list[np.ndarray]  # per track, its quad in every combination
+    gate: list[np.ndarray]   # per track, the folded exact + prefix table
     plain: np.ndarray        # per combination, plain row-sum table offset
     alt: np.ndarray          # per combination, alternating row-sum offset
     reach: np.ndarray        # _reach_table(n, solutions, n - 2k)
     bound: np.ndarray        # largest |correlation| at shifts 1..n-1
 
 
-def _level(n: int, k: int, tracks, solutions: np.ndarray) -> _Level:
+def _gate(track: TrackSpec, u: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    folded = np.where(track.allow[:, None, u], exact, _FORBIDDEN).astype(np.int16)
+    return folded.reshape(-1, len(u))
+
+
+def _levels(n: int, tracks) -> list[_Level | None]:
+    """[None, level 1, ..., level n//2]: the constants of placing each
+    pair, indexed by k."""
+    solutions = _solutions(n, tracks)
     units = [g.reshape(-1) for g in np.meshgrid(*(t.alphabet for t in tracks), indexing="ij")]
-    sign_left = 1 if k % 2 else -1          # position k
-    sign_right = 1 if (n - k) % 2 == 0 else -1  # position n+1-k
-    plain, alt = [], []
-    for u, track in zip(units, tracks):
-        halves = [(TOP_LEFT[u], TOP_RIGHT[u])]
-        if track.pair_rows == 2:
-            halves.append((BOT_LEFT[u], BOT_RIGHT[u]))
-        for left, right in halves:
-            plain.append(left + right)
-            alt.append(sign_left * left + sign_right * right)
-    strides = _row_strides(n, len(plain))
-    return _Level(
-        units,
-        np.stack(plain, axis=1) @ strides,
-        np.stack(alt, axis=1) @ strides,
-        _reach_table(n, solutions, n - 2 * k),
-        _bounds(n, 2 * len(tracks))[k][1:],
-    )
+    first_gate = [_gate(t, u, np.broadcast_to(SC[u], (16, len(u)))) for t, u in zip(tracks, units)]
+    later_gate = [_gate(t, u, SS[:, u]) for t, u in zip(tracks, units)]
+    bounds = _bounds(n, 2 * len(tracks))
+    levels: list[_Level | None] = [None]
+    for k in range(1, n // 2 + 1):
+        sign_left = 1 if k % 2 else -1          # position k
+        sign_right = 1 if (n - k) % 2 == 0 else -1  # position n+1-k
+        plain, alt = [], []
+        for u, track in zip(units, tracks):
+            halves = [(TOP_LEFT[u], TOP_RIGHT[u])]
+            if track.pair_rows == 2:
+                halves.append((BOT_LEFT[u], BOT_RIGHT[u]))
+            for left, right in halves:
+                plain.append(left + right)
+                alt.append(sign_left * left + sign_right * right)
+        strides = _row_strides(n, len(plain))
+        levels.append(_Level(
+            units,
+            first_gate if k == 1 else later_gate,
+            np.stack(plain, axis=1) @ strides,
+            np.stack(alt, axis=1) @ strides,
+            _reach_table(n, solutions, n - 2 * k),
+            bounds[k][1:],
+        ))
+    return levels
 
 
 def _expand(block: _Block, n: int, k: int, tracks, level: _Level) -> _Block | None:
     """Place pair k (1-based) on every state of the block and keep the
     survivors of the exact, row-sum and bound checks, in that order; only
     the survivors of each check are carried into the next.  level is
-    _level(n, k, tracks, solutions)."""
+    _levels(n, tracks)[k]."""
     units = level.units
+    combos = len(units[0])
 
     # Exact check at the newly determined shift n-k, and the prefix state
-    # machines.  For k = 1 the only contribution is each new quad against
-    # itself; afterwards it is each new quad crossed with pair 1.
-    if k == 1:
-        delta = sum(SC[u] for u in units)[None, :]
-    else:
-        delta = sum(SS[:, u][block.syms[t][:, 0]] for t, u in enumerate(units))
-    mask = block.p[:, n - k][:, None] + delta == 0
-    for t, track in enumerate(tracks):
-        mask &= track.allow[:, units[t]][block.fst[:, t]]
-    rows_idx, combo_idx = np.nonzero(mask)
+    # machines, in one gather of gate rows per track: the rows are keyed
+    # by the track's state and its quad at pair 1 (unplaced when k = 1).
+    delta = block.p[n - k][:, None]
+    for t in range(len(tracks)):
+        key = 16 * block.fst[t].astype(np.intp)
+        if k > 1:
+            key += block.syms[t][0]
+        gated = level.gate[t].take(key, axis=0)
+        gated += delta
+        delta = gated
+    flat = np.flatnonzero(delta == 0)
+    del delta, gated  # the bound check below sets the peak; free these first
+    rows_idx, combo_idx = np.divmod(flat, combos, out=(flat, np.empty_like(flat)))
 
     # Row sums, plain and alternating: both must still reach a solution of
     # the square identity with the n - 2k positions left in each row.
-    plain = block.plain[rows_idx] + level.plain[combo_idx]
-    alt = block.alt[rows_idx] + level.alt[combo_idx]
-    keep = np.nonzero(level.reach[plain] & level.reach[alt])[0]
+    plain = block.plain.take(rows_idx) + level.plain.take(combo_idx)
+    alt = block.alt.take(rows_idx) + level.alt.take(combo_idx)
+    keep = np.flatnonzero(level.reach.take(plain) & level.reach.take(alt))
     if not len(keep):
         return None
-    rows_idx, combo_idx = rows_idx[keep], combo_idx[keep]
-    plain, alt = plain[keep], alt[keep]
+    rows_idx, plain, alt = rows_idx[keep], plain[keep], alt[keep]
+    selected = [u.take(combo_idx[keep]) for u in units]
+    del combo_idx
 
-    # Correlation bound on every shift, after adding the new products.
-    selected = [u[combo_idx] for u in units]
-    p_new = block.p[rows_idx]
+    # Correlation bound on every shift, after adding the new products: one
+    # contiguous row of pair indices 16*a + b per earlier pair j.
+    p_new = block.p.take(rows_idx, axis=1)
     for t in range(len(tracks)):
         u = selected[t]
         for j in range(1, k):
-            pair = 16 * block.syms[t][rows_idx, j - 1].astype(np.intp) + u
-            p_new[:, k - j] += _DD_FLAT[pair]
-            p_new[:, n + 1 - j - k] += _SS_FLAT[pair]
-        p_new[:, n + 1 - 2 * k] += SC[u]
-    keep = np.nonzero((np.abs(p_new[:, 1:]) <= level.bound).all(axis=1))[0]
+            pair = block.syms[t][j - 1].take(rows_idx).astype(np.int16)
+            pair <<= 4
+            pair += u
+            p_new[k - j] += _DD_FLAT.take(pair)
+            p_new[n + 1 - j - k] += _SS_FLAT.take(pair)
+        p_new[n + 1 - 2 * k] += SC.take(u)
+    keep = np.flatnonzero((np.abs(p_new[1:]) <= level.bound[:, None]).all(axis=0))
     if not len(keep):
         return None
     if len(keep) < len(rows_idx):
-        rows_idx, p_new, plain, alt = rows_idx[keep], p_new[keep], plain[keep], alt[keep]
+        rows_idx, plain, alt = rows_idx[keep], plain[keep], alt[keep]
+        p_new = p_new.take(keep, axis=1)
         selected = [u[keep] for u in selected]
 
     # Materialise the survivors: symbol prefixes and prefix states.
     syms_new = [
-        np.concatenate([block.syms[t][rows_idx], selected[t][:, None]], axis=1)
+        np.concatenate([block.syms[t].take(rows_idx, axis=1), selected[t][None]])
         for t in range(len(tracks))
     ]
     fst_new = np.stack(
-        [track.trans[block.fst[rows_idx, t], selected[t]] for t, track in enumerate(tracks)],
-        axis=1,
+        [track.trans[block.fst[t].take(rows_idx), selected[t]] for t, track in enumerate(tracks)]
     )
     return _Block(p_new, syms_new, fst_new, plain, alt)
 
@@ -373,22 +422,26 @@ def _central_leaves(block: _Block, n: int, tracks) -> dict:
     """For odd n, try every central combination (z_1..z_T) at once and
     keep the states whose prefix states admit it and whose full
     correlation table vanishes; each track's z is appended to its quads
-    as the raw quad 5*z.  One broadcast over (states, z_1..z_T, shifts):
-    the central meets pair j at shift m+1-j, and the shifts above m do
-    not meet it and already vanish (bounds[m] is zero there)."""
+    as the raw quad 5*z.  One broadcast over (shifts, states, z_1..z_T),
+    each z axis holding only the values its track's central table admits
+    in some state: the central meets pair j at shift m+1-j, and the shifts
+    above m do not meet it and already vanish (bounds[m] is zero there)."""
     m = n // 2
     states, axes = len(block), len(tracks)
-    corr = block.p[:, m:0:-1].reshape((states,) + (1,) * axes + (m,))
+    corr = block.p[m:0:-1].reshape((m, states) + (1,) * axes)
     admitted = np.ones((states,) + (1,) * axes, dtype=bool)
+    values = []
     for t, track in enumerate(tracks):
+        z = np.flatnonzero(track.central.any(axis=0))
         shape = [states] + [1] * axes
-        shape[1 + t] = 4
-        corr = corr + DD[block.syms[t][:, None, :], 5 * np.arange(4)[:, None]].reshape(shape + [m])
-        admitted = admitted & track.central[block.fst[:, t]].reshape(shape)
-    rows, *zs = np.nonzero(admitted & (corr == 0).all(axis=-1))
+        shape[1 + t] = len(z)
+        corr = corr + DD[:, 5 * z].take(block.syms[t], axis=0).reshape([m] + shape)
+        admitted = admitted & track.central[:, z].take(block.fst[t], axis=0).reshape(shape)
+        values.append((5 * z).astype(np.int8))
+    rows, *zs = np.nonzero(admitted & (corr == 0).all(axis=0))
     return {
         "syms": [
-            np.concatenate([block.syms[t][rows], (5 * z[:, None]).astype(np.int8)], axis=1)
+            np.concatenate([block.syms[t].take(rows, axis=1), values[t][z][None]]).T
             for t, z in enumerate(zs)
         ]
     }
@@ -400,10 +453,12 @@ def _merge_leaves(parts: list[dict], tracks, n: int) -> dict:
     return {"syms": syms}
 
 
-# Most states one expansion takes.  Measured on the recursive descent,
-# in-process on 2 cores, NS n = 20 and 22: 1 << 10 runs 7-30% slower,
-# while 1 << 14 and 1 << 15 run no faster and peak 16-46 MB higher than
-# the 39-42 MB of 1 << 12.
+# Most states one expansion takes.  Measured on the shift-major kernel,
+# in-process on 2 cores (median of 3 runs, tracemalloc peak): NS n = 20
+# 0.73 / 0.66 / 0.61 s and 4.5 / 7.2 / 12.7 MB for 1 << 11 / 12 / 13,
+# Golay n = 20 0.79 / 0.65 / 0.63 s and 3.0 / 5.0 / 9.0 MB, NS n = 22
+# 3.61 / 3.38 / 3.24 s and 6.6 / 10.4 / 17.9 MB.  1 << 13 saves 3-8% of
+# the time for 1.7-1.8x the peak.
 CHUNK = 1 << 12
 
 
@@ -426,8 +481,7 @@ def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
     expansion, and is strided as one block.
     """
     m = n // 2
-    solutions = _solutions(n, tracks)
-    levels = [None] + [_level(n, k, tracks, solutions) for k in range(1, m + 1)]
+    levels = _levels(n, tracks)
     shard_index, shard_count = shard
     leaves: list[dict] = []
 
@@ -441,7 +495,9 @@ def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
         if k == m:
             # bounds[m] is identically zero, so for even n the survivors
             # already satisfy every equation; they are the leaves.
-            leaves.append(_central_leaves(block, n, tracks) if n % 2 else {"syms": block.syms})
+            leaves.append(
+                _central_leaves(block, n, tracks) if n % 2 else {"syms": [s.T for s in block.syms]}
+            )
             return
         for lo in range(0, len(block), CHUNK):
             chunk = block.take(slice(lo, lo + CHUNK))

@@ -3,13 +3,16 @@ row-sum solutions derived from the tracks against hand-written solvers
 of the square identities, the row-sum reach tables against a direct
 broadcast of their predicate, the per-level frontier sizes of the
 search, the chunked depth-first traversal against a level-synchronous
-one, the track tables against the symbol scans they replaced, the
-central column held as a quad, and its one-broadcast step against a
-loop over the central combinations."""
+one, the shift-major kernel against the row-major one it replaced, the
+track tables against the symbol scans they replaced, the central column
+held as a quad, and its one-broadcast step against a loop over the
+central combinations."""
 
 import itertools
+import tracemalloc
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,11 +26,17 @@ from nsq._engine import (
     CHUNK,
     DD,
     ORTHOGONAL_RAWS,
+    SC,
+    SS,
     TOP_LEFT,
     TOP_RIGHT,
+    _DD_FLAT,
+    _FORBIDDEN,
+    _SS_FLAT,
+    _bounds,
     _central_leaves,
     _expand,
-    _level,
+    _levels,
     _merge_leaves,
     _reach_table,
     _root,
@@ -140,14 +149,14 @@ def central_leaves_oracle(block, n: int, tracks) -> dict:
     for zs in itertools.product(range(4), repeat=len(tracks)):
         admitted = np.ones(len(block), dtype=bool)
         for t, track in enumerate(tracks):
-            admitted &= track.central[block.fst[:, t], zs[t]]
+            admitted &= track.central[block.fst[t], zs[t]]
         idx = np.nonzero(admitted)[0]
-        p_c = block.p[idx]
+        p_c = block.p[:, idx]
         for t in range(len(tracks)):
             for j in range(1, m + 1):
-                p_c[:, m + 1 - j] += DD[block.syms[t][idx, j - 1], 5 * zs[t]]
-        idx = idx[(p_c[:, 1:] == 0).all(axis=1)]
-        syms = [np.insert(block.syms[t][idx], m, 5 * z, axis=1) for t, z in enumerate(zs)]
+                p_c[m + 1 - j] += DD[block.syms[t][j - 1, idx], 5 * zs[t]]
+        idx = idx[(p_c[1:] == 0).all(axis=0)]
+        syms = [np.insert(block.syms[t][:, idx].T, m, 5 * z, axis=1) for t, z in enumerate(zs)]
         parts.append({"syms": syms})
     return _merge_leaves(parts, tracks, n)
 
@@ -156,15 +165,14 @@ def level_search(n: int, tracks, chunk: int = 1 << 15):
     """The level-synchronous search: expand a whole level, chunk by chunk,
     before starting the next.  Returns the states left after each level
     k = 1..n//2 and the merged leaves."""
-    solutions = _solutions(n, tracks)
+    levels = _levels(n, tracks)
     blocks = [_root(n, tracks)]
     sizes = []
     for k in range(1, n // 2 + 1):
-        level = _level(n, k, tracks, solutions)
         nxt = []
         for block in blocks:
             for lo in range(0, len(block), chunk):
-                out = _expand(block.take(slice(lo, lo + chunk)), n, k, tracks, level)
+                out = _expand(block.take(slice(lo, lo + chunk)), n, k, tracks, levels[k])
                 if out is not None:
                     nxt.append(out)
         blocks = nxt
@@ -172,7 +180,7 @@ def level_search(n: int, tracks, chunk: int = 1 << 15):
     if n % 2:
         parts = [central_leaves_oracle(block, n, tracks) for block in blocks]
     else:
-        parts = [{"syms": block.syms} for block in blocks]
+        parts = [{"syms": [s.T for s in block.syms]} for block in blocks]
     return sizes, _merge_leaves(parts, tracks, n)
 
 
@@ -257,6 +265,137 @@ def test_traversal_is_chunked_and_deepest_first(monkeypatch):
     assert max(seen) == CHUNK
 
 
+class RowBlock(NamedTuple):
+    """A block held row-major, one row per state: p is (states, n), syms
+    per track (states, pairs) and fst (states, tracks)."""
+
+    p: np.ndarray
+    syms: list[np.ndarray]
+    fst: np.ndarray
+    plain: np.ndarray
+    alt: np.ndarray
+
+
+def row_major(block) -> RowBlock:
+    return RowBlock(
+        np.ascontiguousarray(block.p.T),
+        [np.ascontiguousarray(s.T) for s in block.syms],
+        np.ascontiguousarray(block.fst.T),
+        block.plain,
+        block.alt,
+    )
+
+
+def expand_oracle(block: RowBlock, n: int, k: int, tracks, level) -> RowBlock | None:
+    """The row-major kernel the shift-major _expand replaced: the exact
+    check as SS looked up against pair 1 plus a separate allow mask per
+    track, the survivors taken by a 2-D nonzero, and the correlation
+    update one strided column per earlier pair."""
+    units = level.units
+    if k == 1:
+        delta = sum(SC[u] for u in units)[None, :]
+    else:
+        delta = sum(SS[:, u][block.syms[t][:, 0]] for t, u in enumerate(units))
+    mask = block.p[:, n - k][:, None] + delta == 0
+    for t, track in enumerate(tracks):
+        mask &= track.allow[:, units[t]][block.fst[:, t]]
+    rows_idx, combo_idx = np.nonzero(mask)
+
+    plain = block.plain[rows_idx] + level.plain[combo_idx]
+    alt = block.alt[rows_idx] + level.alt[combo_idx]
+    keep = np.nonzero(level.reach[plain] & level.reach[alt])[0]
+    if not len(keep):
+        return None
+    rows_idx, combo_idx = rows_idx[keep], combo_idx[keep]
+    plain, alt = plain[keep], alt[keep]
+
+    selected = [u[combo_idx] for u in units]
+    p_new = block.p[rows_idx]
+    for t in range(len(tracks)):
+        u = selected[t]
+        for j in range(1, k):
+            pair = 16 * block.syms[t][rows_idx, j - 1].astype(np.intp) + u
+            p_new[:, k - j] += _DD_FLAT[pair]
+            p_new[:, n + 1 - j - k] += _SS_FLAT[pair]
+        p_new[:, n + 1 - 2 * k] += SC[u]
+    keep = np.nonzero((np.abs(p_new[:, 1:]) <= level.bound).all(axis=1))[0]
+    if not len(keep):
+        return None
+    rows_idx, p_new, plain, alt = rows_idx[keep], p_new[keep], plain[keep], alt[keep]
+    selected = [u[keep] for u in selected]
+
+    syms_new = [
+        np.concatenate([block.syms[t][rows_idx], selected[t][:, None]], axis=1)
+        for t in range(len(tracks))
+    ]
+    fst_new = np.stack(
+        [track.trans[block.fst[rows_idx, t], selected[t]] for t, track in enumerate(tracks)],
+        axis=1,
+    )
+    return RowBlock(p_new, syms_new, fst_new, plain, alt)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+@pytest.mark.parametrize("kind", sorted(SEARCHES))
+def test_shift_major_kernel_matches_row_major_oracle(monkeypatch, kind, n):
+    # Every chunk the search expands, through both kernels: the same
+    # survivors in the same order, each array the other's transpose.
+    expanded = []
+
+    def spy(block, n_, k, tracks, level):
+        got = _expand(block, n_, k, tracks, level)
+        want = expand_oracle(row_major(block), n_, k, tracks, level)
+        assert (got is None) == (want is None), k
+        if got is not None:
+            for name, a, b in zip(RowBlock._fields, row_major(got), want):
+                for x, y in zip(a, b) if name == "syms" else [(a, b)]:
+                    assert x.dtype == y.dtype and np.array_equal(x, y), (k, name)
+        expanded.append(k)
+        return got
+
+    monkeypatch.setattr(_engine, "_expand", spy)
+    run_search(n, search_inputs(kind, n))
+    assert expanded or n == 1  # n = 1 has no pair to place
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_forbidden_gate_value_cannot_cancel(n):
+    # A gathered gate row sums one term per track with the correlation
+    # before pair k.  An allowed term is an SS or SC value, and the
+    # correlation is within the level's bound, so _FORBIDDEN must exceed
+    # all of them together; T of them at once must still fit int16.
+    term = int(max(np.abs(SS).max(), np.abs(SC).max()))
+    for tracks in (ns_tracks(n), golay_tracks(n)):
+        bound = int(_bounds(n, 2 * len(tracks)).max())
+        assert _FORBIDDEN > len(tracks) * term + bound
+        assert len(tracks) * _FORBIDDEN + bound <= np.iinfo(np.int16).max
+        if n <= 12:
+            for level in _levels(n, tracks)[1:]:
+                for gate in level.gate:
+                    assert gate.dtype == np.int16
+                    allowed = set(range(-term, term + 1)) | {_FORBIDDEN}
+                    assert set(np.unique(gate).tolist()) <= allowed
+
+
+# tracemalloc peaks of run_search(20, ...) with the row-major kernel that
+# the shift-major one replaced, on 2 cores with Python 3.11 and numpy 2.4:
+# 7_657_510 bytes for NS and 5_040_522 for Golay.  The ceilings are 1.1x.
+LIVE_PEAK_CEILINGS = {"ns": 8_423_000, "golay": 5_544_000}
+
+
+@pytest.mark.parametrize("kind", sorted(SEARCHES))
+def test_live_peak_is_bounded(kind):
+    tracks = search_inputs(kind, 20)
+    run_search(20, tracks)  # fill the module caches before tracing
+    tracemalloc.start()
+    try:
+        run_search(20, tracks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= LIVE_PEAK_CEILINGS[kind]
+
+
 @pytest.mark.parametrize("kind, n", [("ns", 15), ("ns", 16), ("golay", 16)])
 def test_tiny_chunks_match_oracle(monkeypatch, kind, n):
     # Chunks far smaller than a level's blocks: every expansion's output
@@ -267,27 +406,26 @@ def test_tiny_chunks_match_oracle(monkeypatch, kind, n):
 
 
 def test_level_setup_is_built_once_per_level(monkeypatch):
-    # _level runs once per level of each search; every chunk of a level is
-    # expanded with that one object.
-    built, expanded = {}, []
+    # _levels runs once per search; every chunk of pair k is expanded with
+    # that search's one level k object.
+    built, expanded = [], []
 
-    def level_spy(n, k, tracks, solutions):
-        assert k not in built
-        built[k] = _level(n, k, tracks, solutions)
-        return built[k]
+    def levels_spy(n, tracks):
+        built.append(_levels(n, tracks))
+        return built[-1]
 
     def expand_spy(block, n, k, tracks, level):
-        assert level is built[k]
+        assert level is built[-1][k]
         expanded.append(k)
         return _expand(block, n, k, tracks, level)
 
-    monkeypatch.setattr(_engine, "_level", level_spy)
+    monkeypatch.setattr(_engine, "_levels", levels_spy)
     monkeypatch.setattr(_engine, "_expand", expand_spy)
     for kind in SEARCHES:
         built.clear()
         expanded.clear()
         run_search(20, search_inputs(kind, 20))
-        assert sorted(built) == list(range(1, 11))
+        assert len(built) == 1 and len(built[0]) == 11
         # Level 9 holds ~0.5 M states (GOLDEN_FRONTIERS), so placing pair
         # 10 takes over a hundred chunks.
         assert expanded.count(10) > 100
@@ -354,8 +492,8 @@ def test_central_table_matches_symbol_scan(monkeypatch, n):
     for block in blocks:
         for t, oracle_mask in enumerate((aa_central_oracle, cd_central_oracle)):
             for z in range(4):
-                table = tracks[t].central[block.fst[:, t], z]
-                assert np.array_equal(table, oracle_mask(block.syms[t], z)), (t, z)
+                table = tracks[t].central[block.fst[t], z]
+                assert np.array_equal(table, oracle_mask(block.syms[t].T, z)), (t, z)
 
 
 @pytest.mark.parametrize("n", range(1, 22, 2))
