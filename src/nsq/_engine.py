@@ -1,22 +1,23 @@
 """Chunked, vectorised outward-in quad search.
 
 Shared by the class enumerator and the Golay pair search.  Sequences are
-filled pairwise from the outside in: step k fixes positions k and n+1-k
-of every sequence at once (one quad per pair of sequences, or track;
-see TrackSpec for how a track carries the canonical-form conditions).
-Each step filters the (state, quad combination) candidates in four
-stages, cheapest first, and gathers a state's full data only for the
-survivors:
+filled from the outside in, one column of quads per level: level k fixes
+positions k and n+1-k of every sequence at once (one quad per pair of
+sequences, or track; see TrackSpec for how a track carries the
+canonical-form conditions), and for odd n the last level fixes the
+central column.  Every level is one call of _expand, which filters the
+(state, quad combination) candidates in four stages, cheapest first, and
+gathers a state's full data only for the survivors:
 
-1. exact + prefix: after step k the combined correlation at shift n-k is
-   fully determined and must vanish, and each track's state machine must
-   accept the new quad; both are one gate table per track (see _Level),
-   so the check is one row gather per track and one compare;
+1. exact + prefix: after level k the combined correlation at shift n-k is
+   fully determined and must vanish, and each track's admission table
+   must accept the new quad; both are one gate table per track (see
+   _Level), so the check is one row gather per track and one compare;
 2. row sums: the plain and alternating partial row sums must still reach
    an integer solution of the square identity the completed sequences
    satisfy, looked up in a table built once per level (_levels);
 3. correlation bound: every other shift is bounded by the number of
-   products it still misses;
+   products it still misses (none after the last level);
 4. materialisation: only now are the symbol prefixes and prefix states
    of the survivors gathered into the next block.
 
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -67,8 +67,9 @@ _R = np.arange(16) % 4
 #   DD[a,b] -> shift k-j   (left-left plus right-right products)
 #   SS[a,b] -> shift n+1-j-k  (the two crossed products)
 #   SC[a]   -> shift n+1-2j   (a quad against itself)
-# The central column z of odd n is the raw quad 5*z at pair m+1, so it
-# meets a quad a at pair j through DD[a, 5*z], at shift m+1-j.
+# The central column z of odd n is the raw quad 5*z at level m+1.  It
+# meets a quad a at pair j through DD[a, 5*z], at shift m+1-j; SS[a, 5*z]
+# is the same two products, so that level adds no SS (_Level.ss).
 DD = DOT4[_L[:, None], _L[None, :]] + DOT4[_R[:, None], _R[None, :]]
 SS = DOT4[_L[:, None], _R[None, :]] + DOT4[_L[None, :], _R[:, None]]
 SC = DOT4[_L, _R]
@@ -98,7 +99,7 @@ class TrackSpec:
     alphabet: np.ndarray         # raw ids the pair may use
     allow: np.ndarray            # (states, 16) bool: quad may follow state
     trans: np.ndarray            # (states, 16) int8: state after the quad
-    central: np.ndarray          # (states, 4) bool: central admitted (odd n)
+    central: np.ndarray          # (states, 4) bool: central z may follow state
     pair_rows: int               # 1 when the pair repeats one sequence
 
 
@@ -202,21 +203,18 @@ def _solutions(n: int, tracks) -> np.ndarray:
     return grid[grid**2 @ weights == n * weights.sum()].astype(np.int16)
 
 
-@lru_cache(maxsize=None)
 def _bounds(n: int, weight: int) -> np.ndarray:
     """bounds[k][i]: largest |combined correlation at shift i| reachable
-    with pairs 1..k placed; weight is the number of underlying sequences."""
-    out = np.zeros((n // 2 + 1, n), dtype=np.int16)
-    for k in range(n // 2 + 1):
-        known = [False] * (n + 1)
-        for j in range(1, k + 1):
-            known[j] = True
-            known[n + 1 - j] = True
-        for i in range(1, n):
-            undetermined = sum(
-                1 for j in range(1, n - i + 1) if not (known[j] and known[i + j])
-            )
-            out[k, i] = weight * undetermined
+    with columns 1..k placed (pairs, then the central of odd n); weight is
+    the number of underlying sequences.  Shift i has n - i products, and
+    the determined ones are the lag-i autocorrelation of the 0/1
+    indicator of the known positions."""
+    out = np.zeros((n - n // 2 + 1, n), dtype=np.int16)
+    for k in range(n - n // 2 + 1):
+        known = np.zeros(n, dtype=np.int16)
+        known[:k] = known[n - k:] = 1
+        lagged = np.correlate(known, known, "full")[n:]  # lags 1..n-1
+        out[k, 1:] = weight * (np.arange(n - 1, 0, -1) - lagged)
     return out
 
 
@@ -249,11 +247,11 @@ def _row_strides(n: int, rows: int) -> np.ndarray:
 class _Block:
     """A chunk of search states, held shift-major: one contiguous row per
     shift, pair or track, one column per state.  p is (n, states), the
-    combined correlation at each shift (row 0 unused); syms holds per
-    track the raw quads placed so far, (pairs, states) int8; fst is
-    (tracks, states), each track's prefix state.  plain and alt hold each
-    state's plain and alternating row-sum vectors as flat reach-table
-    indices."""
+    combined correlation at each shift (row 0 unchecked: the central's
+    self-product lands there); syms holds per track the raw quads placed
+    so far, (pairs, states) int8; fst is (tracks, states), each track's
+    prefix state.  plain and alt hold each state's plain and alternating
+    row-sum vectors as flat reach-table indices."""
 
     __slots__ = ("p", "syms", "fst", "plain", "alt")
 
@@ -289,7 +287,7 @@ def _root(n: int, tracks) -> _Block:
     )
 
 
-# Gate value of a quad the prefix state machine forbids.  It exceeds every
+# Gate value of a quad the track's admission table forbids.  It exceeds every
 # sum of the other terms of the exact check (each track's |SS| <= 4 and the
 # level's correlation bound), so no such sum can cancel it to zero, and
 # tracks * _FORBIDDEN stays far inside int16.
@@ -297,40 +295,61 @@ _FORBIDDEN = 1 << 12
 
 
 class _Level(NamedTuple):
-    """The state-free constants of placing pair k, built once per search
-    by _levels.
+    """The state-free constants of placing column k, built once per search
+    by _levels: pair k, or for odd n and k = n//2 + 1 the central column.
 
-    gate folds each track's exact-check term and prefix machine into one
-    int16 table of shape (16 * states, combinations).  Its row
-    16 * state + a holds, per combination, what the track's new quad adds
-    at shift n-k when pair 1 holds the quad a, or _FORBIDDEN where state
-    does not allow the new quad.  The new quad meets pair 1 through SS,
-    except at k = 1, where it is pair 1 and meets itself through SC (and
-    a is 0); so the levels past the first share one gate per track."""
+    gate folds each track's exact-check term and admission table (allow,
+    or central) into one int16 table of shape (16 * states, combinations).
+    Its row 16 * state + a holds, per combination, what the track's new
+    quad adds at shift n-k when pair 1 holds the quad a, or _FORBIDDEN
+    where state does not admit the new quad.  The new quad meets pair 1
+    through SS, except at k = 1, where it is pair 1 and meets itself
+    through SC (and a is 0); so the pair levels past the first share one
+    gate per track."""
 
     units: list[np.ndarray]  # per track, its quad in every combination
-    gate: list[np.ndarray]   # per track, the folded exact + prefix table
+    gate: list[np.ndarray]   # per track, the folded exact + admission table
     plain: np.ndarray        # per combination, plain row-sum table offset
     alt: np.ndarray          # per combination, alternating row-sum offset
-    reach: np.ndarray        # _reach_table(n, solutions, n - 2k)
+    reach: np.ndarray        # _reach_table(n, solutions, positions left)
     bound: np.ndarray        # largest |correlation| at shifts 1..n-1
+    ss: np.ndarray           # crossed-product table of the update, by 16*a+b
 
 
-def _gate(track: TrackSpec, u: np.ndarray, exact: np.ndarray) -> np.ndarray:
-    folded = np.where(track.allow[:, None, u], exact, _FORBIDDEN).astype(np.int16)
-    return folded.reshape(-1, len(u))
+def _gate(admit: np.ndarray, exact) -> np.ndarray:
+    """admit is (states, combinations); exact broadcasts to (16, combinations)."""
+    combos = admit.shape[1]
+    folded = np.where(admit[:, None], np.broadcast_to(exact, (16, combos)), _FORBIDDEN)
+    return folded.astype(np.int16).reshape(-1, combos)
+
+
+def _combinations(values) -> list[np.ndarray]:
+    """Per track, its value in every combination, the first track slowest."""
+    return [g.reshape(-1) for g in np.meshgrid(*values, indexing="ij")]
 
 
 def _levels(n: int, tracks) -> list[_Level | None]:
-    """[None, level 1, ..., level n//2]: the constants of placing each
-    pair, indexed by k."""
+    """[None, level 1, ..., level n - n//2]: the constants of placing each
+    column, indexed by k; for odd n the last is the central column."""
+    m = n // 2
     solutions = _solutions(n, tracks)
-    units = [g.reshape(-1) for g in np.meshgrid(*(t.alphabet for t in tracks), indexing="ij")]
-    first_gate = [_gate(t, u, np.broadcast_to(SC[u], (16, len(u)))) for t, u in zip(tracks, units)]
-    later_gate = [_gate(t, u, SS[:, u]) for t, u in zip(tracks, units)]
     bounds = _bounds(n, 2 * len(tracks))
+    pairs = _combinations(t.alphabet for t in tracks)
+    first_gate = [_gate(t.allow[:, u], SC[u]) for t, u in zip(tracks, pairs)]
+    later_gate = [_gate(t.allow[:, u], SS[:, u]) for t, u in zip(tracks, pairs)]
     levels: list[_Level | None] = [None]
-    for k in range(1, n // 2 + 1):
+    for k in range(1, n - m + 1):
+        units, gate, ss = pairs, first_gate if k == 1 else later_gate, _SS_FLAT
+        if k > m:
+            # The central column: per track, the z its table admits in some
+            # state, as quads 5*z; when n = 1 there is no pair 1 to meet.
+            zs = _combinations(np.flatnonzero(t.central.any(axis=0)) for t in tracks)
+            units = [(5 * z).astype(np.int8) for z in zs]
+            gate = [
+                _gate(t.central[:, z], SS[:, u] if k > 1 else 0)
+                for t, z, u in zip(tracks, zs, units)
+            ]
+            ss = np.zeros_like(_SS_FLAT)
         sign_left = 1 if k % 2 else -1          # position k
         sign_right = 1 if (n - k) % 2 == 0 else -1  # position n+1-k
         plain, alt = [], []
@@ -339,25 +358,28 @@ def _levels(n: int, tracks) -> list[_Level | None]:
             if track.pair_rows == 2:
                 halves.append((BOT_LEFT[u], BOT_RIGHT[u]))
             for left, right in halves:
+                if k > m:
+                    right = 0  # the central is one position: count it once
                 plain.append(left + right)
                 alt.append(sign_left * left + sign_right * right)
         strides = _row_strides(n, len(plain))
         levels.append(_Level(
             units,
-            first_gate if k == 1 else later_gate,
+            gate,
             np.stack(plain, axis=1) @ strides,
             np.stack(alt, axis=1) @ strides,
-            _reach_table(n, solutions, n - 2 * k),
+            _reach_table(n, solutions, n - min(2 * k, n)),
             bounds[k][1:],
+            ss,
         ))
     return levels
 
 
 def _expand(block: _Block, n: int, k: int, tracks, level: _Level) -> _Block | None:
-    """Place pair k (1-based) on every state of the block and keep the
-    survivors of the exact, row-sum and bound checks, in that order; only
-    the survivors of each check are carried into the next.  level is
-    _levels(n, tracks)[k]."""
+    """Place column k (1-based: pair k, or for odd n and k = n//2 + 1 the
+    central) on every state of the block and keep the survivors of the
+    exact, row-sum and bound checks, in that order; only the survivors of
+    each check are carried into the next.  level is _levels(n, tracks)[k]."""
     units = level.units
     combos = len(units[0])
 
@@ -397,7 +419,7 @@ def _expand(block: _Block, n: int, k: int, tracks, level: _Level) -> _Block | No
             pair <<= 4
             pair += u
             p_new[k - j] += _DD_FLAT.take(pair)
-            p_new[n + 1 - j - k] += _SS_FLAT.take(pair)
+            p_new[n + 1 - j - k] += level.ss.take(pair)
         p_new[n + 1 - 2 * k] += SC.take(u)
     keep = np.flatnonzero((np.abs(p_new[1:]) <= level.bound[:, None]).all(axis=0))
     if not len(keep):
@@ -416,35 +438,6 @@ def _expand(block: _Block, n: int, k: int, tracks, level: _Level) -> _Block | No
         [track.trans[block.fst[t].take(rows_idx), selected[t]] for t, track in enumerate(tracks)]
     )
     return _Block(p_new, syms_new, fst_new, plain, alt)
-
-
-def _central_leaves(block: _Block, n: int, tracks) -> dict:
-    """For odd n, try every central combination (z_1..z_T) at once and
-    keep the states whose prefix states admit it and whose full
-    correlation table vanishes; each track's z is appended to its quads
-    as the raw quad 5*z.  One broadcast over (shifts, states, z_1..z_T),
-    each z axis holding only the values its track's central table admits
-    in some state: the central meets pair j at shift m+1-j, and the shifts
-    above m do not meet it and already vanish (bounds[m] is zero there)."""
-    m = n // 2
-    states, axes = len(block), len(tracks)
-    corr = block.p[m:0:-1].reshape((m, states) + (1,) * axes)
-    admitted = np.ones((states,) + (1,) * axes, dtype=bool)
-    values = []
-    for t, track in enumerate(tracks):
-        z = np.flatnonzero(track.central.any(axis=0))
-        shape = [states] + [1] * axes
-        shape[1 + t] = len(z)
-        corr = corr + DD[:, 5 * z].take(block.syms[t], axis=0).reshape([m] + shape)
-        admitted = admitted & track.central[:, z].take(block.fst[t], axis=0).reshape(shape)
-        values.append((5 * z).astype(np.int8))
-    rows, *zs = np.nonzero(admitted & (corr == 0).all(axis=0))
-    return {
-        "syms": [
-            np.concatenate([block.syms[t].take(rows, axis=1), values[t][z][None]]).T
-            for t, z in enumerate(zs)
-        ]
-    }
 
 
 def _merge_leaves(parts: list[dict], tracks, n: int) -> dict:
@@ -467,13 +460,12 @@ def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
     {"syms": per track, one row of n - n//2 raw quads per leaf}, the
     central (odd n) as the last quad.
 
-    A recursive descent: the output of one expansion (the states with
-    pairs 1..k placed) is expanded into pair k+1 in slices of at most
-    CHUNK states, each slice's output searched to the end before the next
-    slice is taken.  The last level's output goes whole to the leaf step:
-    it is the leaves (even n) or goes through the central-column step
-    (odd n).  So each level holds at most the unexpanded rest of one
-    expansion, and memory stays bounded whatever the frontier size.
+    A recursive descent over the n - n//2 levels of _levels: the output of
+    one expansion (the states with columns 1..k placed) is expanded into
+    column k+1 in slices of at most CHUNK states, each slice's output
+    searched to the end before the next slice is taken.  The last level's
+    output is the leaves.  So each level holds at most the unexpanded rest
+    of one expansion, and memory stays bounded whatever the frontier size.
 
     shard=(i, w) deterministically keeps every w-th state of the level-3
     frontier (level n//2 when that is shallower), so the w shards
@@ -492,12 +484,10 @@ def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
             return
         if k == min(3, m) and shard_count > 1:
             block = block.take(np.arange(shard_index, len(block), shard_count))
-        if k == m:
-            # bounds[m] is identically zero, so for even n the survivors
-            # already satisfy every equation; they are the leaves.
-            leaves.append(
-                _central_leaves(block, n, tracks) if n % 2 else {"syms": [s.T for s in block.syms]}
-            )
+        if k == n - m:
+            # bounds[n - m] is identically zero, so the survivors satisfy
+            # every equation; they are the leaves.
+            leaves.append({"syms": [s.T for s in block.syms]})
             return
         for lo in range(0, len(block), CHUNK):
             chunk = block.take(slice(lo, lo + CHUNK))

@@ -20,6 +20,8 @@ from .equivalence import (
     canonical_raw,
     orbit_raw,
 )
+from .quadcodec import MAX_N, QuadCode, compose_pair, decode_quadruple, parse_code
+from .tables import load_tables
 
 Raw = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -61,8 +63,6 @@ def _random_quad_regular(n: int, rng: random.Random) -> Raw:
     particular on every normal quadruple) but not on arbitrary sign
     patterns, so probes and samples are drawn here.
     """
-    from .quadcodec import QuadCode, compose_pair
-
     m = n // 2
     p = QuadCode(
         tuple(rng.choice((1, 3, 6, 8)) for _ in range(m)),
@@ -179,22 +179,19 @@ def _relations(n: int):
 
 # The relations are checked on _RELATION_CASES random triples drawn from
 # a generator seeded with _RELATION_SEED + n.  They depend on n only
-# through its parity, so lengths past the paper's range, 40, are refused.
+# through its parity, so lengths past the paper's range are refused.
 _RELATION_SEED = 5417
 _RELATION_CASES = 200
-MAX_RELATION_N = 40
 
 
 def _relation_samples(n: int) -> list[Raw]:
     rng = random.Random(_RELATION_SEED + n)
     samples = [_random_quad_regular(n, rng) for _ in range(_RELATION_CASES)]
-    # Mix in valid quadruples when they are cheap to produce, so the
-    # relations are also exercised where they matter.
+    # Mix in valid quadruples, one orbit per bundled representative up to
+    # n = 13, so the relations are also exercised where they matter.
     if n <= 13:
-        from .search import enumerate_classes, record_quadruple
-
-        for record in enumerate_classes(n):
-            raw = record_quadruple(record).raw()
+        for row in load_tables().reps_for(n):
+            raw = decode_quadruple(*parse_code(f"{row.p_code} {row.q_code}", n=n)).raw()
             samples.extend(sorted(orbit_raw(raw))[:64])
     return samples
 
@@ -208,8 +205,8 @@ def verify_relations(n: int) -> list[RelationCheck]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > MAX_RELATION_N:
-        raise ValueError(f"n must be at most {MAX_RELATION_N}")
+    if n > MAX_N:
+        raise ValueError(f"n must be at most {MAX_N}")
     samples = _relation_samples(n)
     stated, conjectured = _relations(n)
 

@@ -17,6 +17,11 @@ class CodeError(ValueError):
     """Raised for malformed or inconsistent quad codes."""
 
 
+# Longest length a code may describe, as in the paper and the tables.  Longer
+# codes are refused before any decoding, whose normality check is quadratic.
+MAX_N = 40
+
+
 # The eight recognised quads, as (top_left, top_right, bottom_left, bottom_right).
 QUAD_MATRICES = {
     1: (1, 1, 1, 1),
@@ -164,6 +169,9 @@ def parse_code(text: str, n: int | None = None) -> tuple[QuadCode, QuadCode]:
     raises and the caller should pass n.
     """
     parts = text.split()
+    length = max(map(len, parts), default=0)
+    if 2 * length - 1 > MAX_N:
+        raise CodeError(f"codes of {length} digits describe n > {MAX_N}, past the tables")
     if len(parts) != 2:
         raise CodeError(f"expected two codes separated by a space, got {text!r}")
     p_text, q_text = parts

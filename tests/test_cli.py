@@ -118,6 +118,15 @@ class TestCodecCommands:
         assert code == 2
         assert "99" in err
 
+    @pytest.mark.parametrize("command", ["decode", "canon"])
+    @pytest.mark.parametrize("digits", ["1" * 2999 + "3", "1" * 3000])
+    def test_code_past_the_tables_is_refused_quickly(self, capsys, command, digits):
+        # Codes of 3000 digits describe n >= 5999, far past the n = 40 the
+        # tables reach: refused before any decoding, without echoing them.
+        code, out, err = run(capsys, command, digits, digits)
+        assert code == 2 and out == ""
+        assert "3000 digits" in err and "40" in err and len(err) < 100
+
     def test_ambiguous_code_suggests_length(self, capsys):
         code, _, err = run(capsys, "decode", "33", "33")
         assert code == 2 and "n explicitly" in err
@@ -272,6 +281,20 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "4 -1 0 1"
+
+    def test_verify_relations_leaves_numpy_unloaded(self):
+        # Its valid samples are decoded from the bundled representatives,
+        # so no search runs.
+        import subprocess
+        import sys
+
+        code = (
+            "import sys; from nsq.cli import main; status = main(['verify-relations']); "
+            "print(status, sorted({'numpy', 'nsq._engine'} & set(sys.modules)), file=sys.stderr)"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.stderr.strip() == "0 []"
+        assert "PASS" in result.stdout
 
     def test_import_leaves_numpy_unloaded(self):
         # Commands that never search (verify-tables, canon, npaf, ...)

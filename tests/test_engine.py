@@ -1,12 +1,13 @@
 """Engine internals: the raw quad ids against the code labels, the
 row-sum solutions derived from the tracks against hand-written solvers
 of the square identities, the row-sum reach tables against a direct
-broadcast of their predicate, the per-level frontier sizes of the
-search, the chunked depth-first traversal against a level-synchronous
-one, the shift-major kernel against the row-major one it replaced, the
-track tables against the symbol scans they replaced, the central column
-held as a quad, and its one-broadcast step against a loop over the
-central combinations."""
+broadcast of their predicate, the correlation bounds against a count of
+the undetermined products, the per-level frontier sizes of the search,
+the chunked depth-first traversal against a level-synchronous one, the
+shift-major kernel against the row-major one it replaced, the track
+tables against the symbol scans they replaced, the central column held
+as a quad, and its level of the kernel against a loop over the central
+combinations."""
 
 import itertools
 import tracemalloc
@@ -34,7 +35,6 @@ from nsq._engine import (
     _FORBIDDEN,
     _SS_FLAT,
     _bounds,
-    _central_leaves,
     _expand,
     _levels,
     _merge_leaves,
@@ -138,6 +138,34 @@ def test_reach_table_of_empty_solution_set_is_all_false():
     assert len(golay_solutions(19)) == 0
     for remaining in range(20):
         assert not _reach_table(19, golay_solutions(19), remaining).any()
+
+
+def bounds_oracle(n: int, weight: int) -> np.ndarray:
+    """The correlation bounds counted product by product: with columns
+    1..k known, weight times the products at shift i that miss a known
+    position."""
+    out = np.zeros((n - n // 2 + 1, n), dtype=np.int16)
+    for k in range(n - n // 2 + 1):
+        known = [False] * (n + 1)
+        for j in range(1, k + 1):
+            known[j] = True
+            known[n + 1 - j] = True
+        for i in range(1, n):
+            undetermined = sum(
+                1 for j in range(1, n - i + 1) if not (known[j] and known[i + j])
+            )
+            out[k, i] = weight * undetermined
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_bounds_match_product_count(n):
+    for weight in (2, 4):
+        bounds = _bounds(n, weight)
+        assert bounds.dtype == np.int16
+        assert np.array_equal(bounds, bounds_oracle(n, weight))
+        # Once every column is placed, every shift is determined.
+        assert not bounds[-1].any()
 
 
 def central_leaves_oracle(block, n: int, tracks) -> dict:
@@ -338,12 +366,15 @@ def expand_oracle(block: RowBlock, n: int, k: int, tracks, level) -> RowBlock | 
 @pytest.mark.parametrize("n", range(1, 21))
 @pytest.mark.parametrize("kind", sorted(SEARCHES))
 def test_shift_major_kernel_matches_row_major_oracle(monkeypatch, kind, n):
-    # Every chunk the search expands, through both kernels: the same
-    # survivors in the same order, each array the other's transpose.
+    # Every chunk of a pair level the search expands, through both
+    # kernels: the same survivors in the same order, each array the
+    # other's transpose.  The row-major kernel had no central level.
     expanded = []
 
     def spy(block, n_, k, tracks, level):
         got = _expand(block, n_, k, tracks, level)
+        if 2 * k > n_:
+            return got
         want = expand_oracle(row_major(block), n_, k, tracks, level)
         assert (got is None) == (want is None), k
         if got is not None:
@@ -377,29 +408,39 @@ def test_forbidden_gate_value_cannot_cancel(n):
                     assert set(np.unique(gate).tolist()) <= allowed
 
 
-# tracemalloc peaks of run_search(20, ...) with the row-major kernel that
-# the shift-major one replaced, on 2 cores with Python 3.11 and numpy 2.4:
-# 7_657_510 bytes for NS and 5_040_522 for Golay.  The ceilings are 1.1x.
-LIVE_PEAK_CEILINGS = {"ns": 8_423_000, "golay": 5_544_000}
+# Ceilings of 1.1x the tracemalloc peaks of run_search(n, ...), on 2 cores
+# with Python 3.11 and numpy 2.4.  n = 20: with the row-major kernel that
+# the shift-major one replaced, 7_657_510 bytes for NS and 5_040_522 for
+# Golay.  Odd n: with the central column as a separate broadcast step
+# after the kernel, 6_051_060 bytes for NS(19) and 8_431_420 for NS(21).
+LIVE_PEAK_CEILINGS = {
+    ("golay", 20): 5_544_000,
+    ("ns", 19): 6_656_000,
+    ("ns", 20): 8_423_000,
+    ("ns", 21): 9_274_000,
+}
 
 
-@pytest.mark.parametrize("kind", sorted(SEARCHES))
-def test_live_peak_is_bounded(kind):
-    tracks = search_inputs(kind, 20)
-    run_search(20, tracks)  # fill the module caches before tracing
+# The n = 20 cases keep their ids, "ns" and "golay".
+@pytest.mark.parametrize("kind, n", [
+    pytest.param(kind, n, id=kind if n == 20 else f"{kind}-{n}") for kind, n in LIVE_PEAK_CEILINGS
+])
+def test_live_peak_is_bounded(kind, n):
+    tracks = search_inputs(kind, n)
+    run_search(n, tracks)  # fill the module caches before tracing
     tracemalloc.start()
     try:
-        run_search(20, tracks)
+        run_search(n, tracks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= LIVE_PEAK_CEILINGS[kind]
+    assert peak <= LIVE_PEAK_CEILINGS[kind, n]
 
 
 @pytest.mark.parametrize("kind, n", [("ns", 15), ("ns", 16), ("golay", 16)])
 def test_tiny_chunks_match_oracle(monkeypatch, kind, n):
     # Chunks far smaller than a level's blocks: every expansion's output
-    # is split at every level, and odd n takes its central-column step on
+    # is split at every level, and odd n places its central column on
     # many small blocks.
     monkeypatch.setattr(_engine, "CHUNK", 37)
     assert leaf_rows(run_search(n, search_inputs(kind, n))) == oracle(kind, n)[1]
@@ -429,6 +470,25 @@ def test_level_setup_is_built_once_per_level(monkeypatch):
         # Level 9 holds ~0.5 M states (GOLDEN_FRONTIERS), so placing pair
         # 10 takes over a hundred chunks.
         assert expanded.count(10) > 100
+
+
+@pytest.mark.parametrize("n", range(1, 23))
+def test_one_level_per_column(n):
+    # Every column is one level of the kernel: the n//2 pairs, then for
+    # odd n the central, whose quads are 5*z for the admissible z and
+    # whose crossed products are its DD products (no SS update).
+    for tracks in (ns_tracks(n), golay_tracks(n)):
+        levels = _levels(n, tracks)
+        assert len(levels) == n - n // 2 + 1
+        for level in levels[1:n // 2 + 1]:
+            assert level.ss is _SS_FLAT
+        if n % 2:
+            central = levels[-1]
+            assert not central.ss.any()
+            for track, units in zip(tracks, central.units):
+                admitted = set(5 * np.flatnonzero(track.central.any(axis=0)))
+                assert units.dtype == np.int8
+                assert set(units.tolist()) == admitted
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -477,15 +537,16 @@ def cd_central_oracle(syms: np.ndarray, z: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", range(1, 20, 2))
 def test_central_table_matches_symbol_scan(monkeypatch, n):
-    # Every state that reaches the central step, looked up in the table
+    # Every state that reaches the central level, looked up in the table
     # by its prefix state and scanned by its quads, for each central.
     blocks = []
 
-    def spy(block, n_, tracks):
-        blocks.append(block)
-        return _central_leaves(block, n_, tracks)
+    def spy(block, n_, k, tracks_, level):
+        if 2 * k > n_:
+            blocks.append(block)
+        return _expand(block, n_, k, tracks_, level)
 
-    monkeypatch.setattr(_engine, "_central_leaves", spy)
+    monkeypatch.setattr(_engine, "_expand", spy)
     tracks = search_inputs("ns", n)
     run_search(n, tracks)
     assert blocks
@@ -499,23 +560,29 @@ def test_central_table_matches_symbol_scan(monkeypatch, n):
 @pytest.mark.parametrize("n", range(1, 22, 2))
 @pytest.mark.parametrize("kind", sorted(SEARCHES))
 def test_central_broadcast_matches_per_combination_oracle(monkeypatch, kind, n):
-    # Every block that reaches the central step, through the broadcast
-    # over all central combinations and through the loop over them.
+    # Every block that reaches the central level, through the kernel,
+    # which tries every central combination at once, and through the loop
+    # over them.
     tracks = search_inputs(kind, n)
     steps = []
 
-    def spy(block, n_, tracks_):
-        steps.append((block, _central_leaves(block, n_, tracks_)))
-        return steps[-1][1]
+    def spy(block, n_, k, tracks_, level):
+        got = _expand(block, n_, k, tracks_, level)
+        if 2 * k > n_:
+            steps.append((block, got))
+        return got
 
-    monkeypatch.setattr(_engine, "_central_leaves", spy)
+    monkeypatch.setattr(_engine, "_expand", spy)
     run_search(n, tracks)
     # Odd Golay lengths above 1 have no row-sum solution, so no state
     # gets past pair 1.
     assert steps or (kind == "golay" and n > 1)
     for block, got in steps:
-        assert leaf_rows(got) == leaf_rows(central_leaves_oracle(block, n, tracks))
-        assert all(syms.dtype == np.int8 for syms in got["syms"])
+        syms = [] if got is None else [{"syms": [s.T for s in got.syms]}]
+        assert leaf_rows(_merge_leaves(syms, tracks, n)) == leaf_rows(
+            central_leaves_oracle(block, n, tracks)
+        )
+        assert got is None or all(s.dtype == np.int8 for s in got.syms)
 
 
 @pytest.mark.parametrize("n", range(1, 20, 2))

@@ -3,17 +3,20 @@ import random
 import pytest
 
 from nsq.core import BinarySeq, NormalQuadruple
-from nsq.equivalence import TRANSFORMS, Transform, apply_raw
+from nsq.equivalence import TRANSFORMS, Transform, apply_raw, orbit_raw
 from nsq.group import (
+    _RELATION_CASES,
+    _RELATION_SEED,
     GroupElement,
     _random_quad_regular,
+    _relation_samples,
     generators,
     orbits_match_classes,
     realized_order,
     verify_relations,
 )
 from nsq.quadcodec import decode_quadruple, decompose_pair, parse_code, symmetry_type
-from nsq.search import enumerate_classes
+from nsq.search import enumerate_classes, record_quadruple
 
 # Closure sizes of the generator action, frozen from the oracle run.
 EXPECTED_ORDERS = {
@@ -116,12 +119,31 @@ class TestRelations:
         replacement = [c for c in checks if "replacement" in c.name]
         assert replacement and replacement[0].status == "PASS"
 
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_samples_match_search_derived_samples(self, n):
+        # The valid samples, decoded from the bundled representatives, are
+        # those the search used to supply: same orbits, same order.
+        assert _relation_samples(n) == search_relation_samples(n)
+
     def test_parity_dependent_exponent(self):
         # the alternation/reversal relation degenerates differently by parity
         for n in (4, 5):
             checks = verify_relations(n)
             names = [c.name for c in checks if "reverse_c o negate_c" in c.name]
             assert names
+
+
+def search_relation_samples(n: int) -> list:
+    """The relation samples as first drawn: the random triples, then for
+    n <= 13 the first 64 members of each class's orbit, the classes
+    enumerated by the search."""
+    rng = random.Random(_RELATION_SEED + n)
+    samples = [_random_quad_regular(n, rng) for _ in range(_RELATION_CASES)]
+    if n <= 13:
+        for record in enumerate_classes(n):
+            raw = record_quadruple(record).raw()
+            samples.extend(sorted(orbit_raw(raw))[:64])
+    return samples
 
 
 class TestOrbitsMatchClasses:
