@@ -2,12 +2,24 @@
 
 Shared by the class enumerator and the Golay pair search.  Sequences are
 filled from the outside in, one column of quads per level: level k fixes
-positions k and n+1-k of every sequence at once (one quad per pair of
-sequences, or track; see TrackSpec for how a track carries the
-canonical-form conditions), and for odd n the last level fixes the
-central column.  Every level is one call of _expand, which filters the
-(state, quad combination) candidates in four stages, cheapest first, and
-gathers a state's full data only for the survivors:
+positions k and n+1-k of a pair of sequences, or track, as one quad (see
+TrackSpec for how a track carries the canonical-form conditions), and for
+odd n the last level fixes the central column.
+
+The Golay search places its one track level by level.  The NS search
+(A;A;C;D) goes A first (_sweep_and_place):
+
+1. the sweep: A alone, through the (A;A) track's prefix tables, with its
+   plain and alternating sums still able to reach the a of some row-sum
+   solution at every level (_sweep), and no correlation check;
+2. the power test on each completed A: |A(theta)|^2 <= 2n at 16 coarse
+   angles, then at the 2n + 1 angles of a 4n-point DFT (_psd_keep);
+3. the placement of (C;D) on the surviving A's, level by level, each
+   root state carrying 2 N_A and A's row sums.
+
+Every placement level is one call of _expand, which filters the (state,
+quad combination) candidates in four stages, cheapest first, and gathers
+a state's full data only for the survivors:
 
 1. exact + prefix: after level k the combined correlation at shift n-k is
    fully determined and must vanish, and each track's admission table
@@ -21,17 +33,18 @@ gathers a state's full data only for the survivors:
 4. materialisation: only now are the symbol prefixes and prefix states
    of the survivors gathered into the next block.
 
-All arithmetic is integer.  A block is held shift-major (see _Block):
-each shift's correlations, each pair's quads and each track's prefix
-states are one contiguous row over the states, so the survivors are
-gathered column-wise and every update and bound check runs along whole
-rows.
+All arithmetic but the power test's is integer.  A block is held
+shift-major (see _Block): each shift's correlations, each pair's quads
+and each track's prefix states are one contiguous row over the states,
+so the survivors are gathered column-wise and every update and bound
+check runs along whole rows.
 
-run_search descends recursively, expanding slices of at most CHUNK
-states and searching each slice's output to the end before taking the
-next, so a level holds at most the unexpanded rest of one expansion:
-memory is bounded by CHUNK and n, not by the frontier, which grows
-several-fold per level.
+Both the sweep and the placement descend recursively (_descend),
+expanding slices of at most CHUNK states and searching each slice's
+output to the end before taking the next, so a level holds at most the
+unexpanded rest of one expansion; the placement takes the swept A's in
+batches of about CHUNK.  Memory is bounded by CHUNK and n, not by the
+frontier or the number of A's.
 
 A search is defined by its tracks alone: the square identity its row
 sums must reach follows from which sequences each track holds
@@ -52,10 +65,20 @@ raw ids.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
+# The power test runs small matrix products.  A multithreaded OpenBLAS
+# spreads each over every core and keeps its threads spinning between
+# calls: measured on 2 cores, that took `nsq search --n 20` from 0.41 to
+# 0.66 s of CPU time, and enumerate_classes(25, workers=2) from 1.1 to
+# 7.1 s of wall time, its workers' threads competing for the cores.
+# OpenBLAS reads this when numpy loads, so it holds whenever numpy is
+# first imported here, as in the command line; an explicit setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402  (after the setting above)
 
 VEC = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int8)
 DOT4 = (VEC @ VEC.T).astype(np.int16)  # (4,4), values in {-2,0,2}
@@ -218,19 +241,22 @@ def _bounds(n: int, weight: int) -> np.ndarray:
     return out
 
 
-def _reach_table(n: int, solutions: np.ndarray, remaining: int) -> np.ndarray:
+def _reach_table(n: int, solutions: np.ndarray, remaining) -> np.ndarray:
     """Flat boolean table over partial row-sum vectors, each coordinate in
     [-n, n], C-ordered.  An entry is True iff some solution s has
-    |s_i - p_i| <= remaining and s_i - p_i = remaining (mod 2) on every
-    coordinate, i.e. the rows can still be completed to s."""
-    table = np.zeros((2 * n + 1,) * solutions.shape[1], dtype=bool)
+    |s_i - p_i| <= r_i and s_i - p_i = r_i (mod 2) on every coordinate,
+    i.e. the rows can still be completed to s; remaining gives the
+    positions r_i left in each row, or one count for every row."""
+    rows = solutions.shape[1]
+    table = np.zeros((2 * n + 1,) * rows, dtype=bool)
+    remaining = np.broadcast_to(remaining, (rows,)).tolist()
     for s in solutions.tolist():
         box = []
-        for v in s:
-            lo = v - remaining
+        for v, left in zip(s, remaining):
+            lo = v - left
             if lo < -n:
                 lo += (-n - lo + 1) // 2 * 2
-            hi = min(v + remaining, n)
+            hi = min(v + left, n)
             if lo > hi:
                 break
             box.append(slice(lo + n, hi + n + 1, 2))
@@ -251,16 +277,19 @@ class _Block:
     self-product lands there); syms holds per track the raw quads placed
     so far, (pairs, states) int8; fst is (tracks, states), each track's
     prefix state.  plain and alt hold each state's plain and alternating
-    row-sum vectors as flat reach-table indices."""
+    row-sum vectors as flat reach-table indices, and origin, when the
+    search asks for it, the index of the root state each state descends
+    from (else None)."""
 
-    __slots__ = ("p", "syms", "fst", "plain", "alt")
+    __slots__ = ("p", "syms", "fst", "plain", "alt", "origin")
 
-    def __init__(self, p, syms, fst, plain, alt):
+    def __init__(self, p, syms, fst, plain, alt, origin):
         self.p = p
         self.syms = syms
         self.fst = fst
         self.plain = plain
         self.alt = alt
+        self.origin = origin
 
     def take(self, idx):
         return _Block(
@@ -269,6 +298,7 @@ class _Block:
             self.fst[:, idx],
             self.plain[idx],
             self.alt[idx],
+            None if self.origin is None else self.origin[idx],
         )
 
     def __len__(self):
@@ -277,13 +307,14 @@ class _Block:
 
 def _root(n: int, tracks) -> _Block:
     rows = sum(t.pair_rows for t in tracks)
-    origin = np.array([n * int(_row_strides(n, rows).sum())], dtype=np.int32)
+    zero_sums = np.array([n * int(_row_strides(n, rows).sum())], dtype=np.int32)
     return _Block(
         np.zeros((n, 1), dtype=np.int16),
         [np.zeros((0, 1), dtype=np.int8) for _ in tracks],
         np.zeros((len(tracks), 1), dtype=np.int8),
-        origin,
-        origin.copy(),
+        zero_sums,
+        zero_sums.copy(),
+        None,
     )
 
 
@@ -328,11 +359,18 @@ def _combinations(values) -> list[np.ndarray]:
     return [g.reshape(-1) for g in np.meshgrid(*values, indexing="ij")]
 
 
-def _levels(n: int, tracks) -> list[_Level | None]:
+def _levels(n: int, tracks, solutions: np.ndarray | None = None) -> list[_Level | None]:
     """[None, level 1, ..., level n - n//2]: the constants of placing each
-    column, indexed by k; for odd n the last is the central column."""
+    column, indexed by k; for odd n the last is the central column.
+
+    solutions are the row-sum vectors the reach tables aim at, by default
+    _solutions(n, tracks).  Columns past the tracks' rows lead: they are
+    rows already complete, so their sums must match exactly."""
     m = n // 2
-    solutions = _solutions(n, tracks)
+    if solutions is None:
+        solutions = _solutions(n, tracks)
+    done = solutions.shape[1] - sum(t.pair_rows for t in tracks)
+    strides = _row_strides(n, solutions.shape[1])[done:]
     bounds = _bounds(n, 2 * len(tracks))
     pairs = _combinations(t.alphabet for t in tracks)
     first_gate = [_gate(t.allow[:, u], SC[u]) for t, u in zip(tracks, pairs)]
@@ -362,13 +400,12 @@ def _levels(n: int, tracks) -> list[_Level | None]:
                     right = 0  # the central is one position: count it once
                 plain.append(left + right)
                 alt.append(sign_left * left + sign_right * right)
-        strides = _row_strides(n, len(plain))
         levels.append(_Level(
             units,
             gate,
             np.stack(plain, axis=1) @ strides,
             np.stack(alt, axis=1) @ strides,
-            _reach_table(n, solutions, n - min(2 * k, n)),
+            _reach_table(n, solutions, [0] * done + [n - min(2 * k, n)] * len(plain)),
             bounds[k][1:],
             ss,
         ))
@@ -437,7 +474,8 @@ def _expand(block: _Block, n: int, k: int, tracks, level: _Level) -> _Block | No
     fst_new = np.stack(
         [track.trans[block.fst[t].take(rows_idx), selected[t]] for t, track in enumerate(tracks)]
     )
-    return _Block(p_new, syms_new, fst_new, plain, alt)
+    origin = None if block.origin is None else block.origin.take(rows_idx)
+    return _Block(p_new, syms_new, fst_new, plain, alt, origin)
 
 
 def _merge_leaves(parts: list[dict], tracks, n: int) -> dict:
@@ -455,79 +493,267 @@ def _merge_leaves(parts: list[dict], tracks, n: int) -> dict:
 CHUNK = 1 << 12
 
 
+def _descend(block, k, last, expand, emit, shard=(0, 1), split=0) -> None:
+    """Search a block with columns 1..k placed to the end: expand(block,
+    k + 1) places column k+1 on at most CHUNK states at a time, each
+    slice's output is searched to the end before the next slice is
+    taken, and emit receives the output of the last level, column last.
+    So each level holds at most the unexpanded rest of one expansion, and
+    memory stays bounded whatever the frontier size.
+
+    shard=(i, w) deterministically keeps every w-th state of the level
+    split frontier, so the w shards i = 0..w-1 partition the search.  That
+    frontier is the output of one expansion, and is strided as one block."""
+    if block is None:
+        return
+    if k == split and shard[1] > 1:
+        block = block.take(np.arange(shard[0], len(block), shard[1]))
+    if k == last:
+        emit(block)
+        return
+    for lo in range(0, len(block), CHUNK):
+        # The expansion is held by the callee's frame alone, so it is freed
+        # on return, before this level's next slice is expanded.
+        chunk = block.take(slice(lo, lo + CHUNK))
+        _descend(expand(chunk, k + 1), k + 1, last, expand, emit, shard, split)
+
+
+def _sweep(block: _Block, n: int, k: int, track: TrackSpec, level: _Level) -> _Block | None:
+    """Place column k of the repeated sequence A on every state, with no
+    correlation check: keep each quad the state's prefix table admits
+    (allow, or central for the central column) whose plain and alternating
+    sums of A can both still reach the a of some row-sum solution.  The
+    states hold no correlations (p has no rows).  level is the column's
+    _levels(n, (track,), a values) entry."""
+    units = level.units[0]
+    admit = track.central[:, units // 5] if 2 * k > n else track.allow[:, units]
+    plain = block.plain[:, None] + level.plain  # (states, quads)
+    alt = block.alt[:, None] + level.alt
+    keep = admit.take(block.fst[0], axis=0)
+    keep &= level.reach.take(plain)
+    keep &= level.reach.take(alt)
+    keep = np.flatnonzero(keep)
+    if not len(keep):
+        return None
+    rows_idx, quads = np.divmod(keep, len(units))
+    quads = units.take(quads)
+    return _Block(
+        np.empty((0, len(keep)), dtype=np.int16),
+        [np.concatenate([block.syms[0].take(rows_idx, axis=1), quads[None]])],
+        track.trans[block.fst[0].take(rows_idx), quads][None],
+        plain.take(keep),
+        alt.take(keep),
+        None,
+    )
+
+
+# Slack of the power test in _psd_keep over its exact bound 2n, and the
+# float type it computes in.
+PSD_TOL = 0.05
+PSD_FLOAT = np.float32
+
+
+def _psd_tables(n: int) -> list[np.ndarray]:
+    """The angles of the power test, as (2 * angles, n) tables of
+    cos(i*theta) then sin(i*theta) for positions i = 0..n-1, computed in
+    float64 and rounded once to PSD_FLOAT: first 16 angles pi (j - 1/2) / 16
+    spread over (0, pi), then the 2n + 1 angles 2 pi j / 4n of a 4n-point
+    DFT."""
+    grids = (np.pi * (np.arange(1, 17) - 0.5) / 16, 2 * np.pi * np.arange(2 * n + 1) / (4 * n))
+    tables = []
+    for theta in grids:
+        phase = np.outer(theta, np.arange(n))
+        tables.append(np.concatenate([np.cos(phase), np.sin(phase)]).astype(PSD_FLOAT))
+    return tables
+
+
+def _psd_keep(signs: np.ndarray, n: int, tables: list[np.ndarray]) -> np.ndarray:
+    """Indices of the columns A of signs (+1/-1, shape (n, states)) with
+    |A(theta)|^2 <= 2n + PSD_TOL at every angle of tables (_psd_tables),
+    each table applied to the survivors of the one before.
+
+    The test is only necessary.  A normal sequence (A;A;C;D) has
+    2|A|^2 + |C|^2 + |D|^2 = 4n at every real theta, so its A has
+    |A(theta)|^2 <= 2n everywhere.  Rounding cannot make the test reject
+    such an A.  With u = 2^-24 the unit roundoff of float32: a table
+    entry is within u + (2 pi n + 1) 2^-53 < 1.001 u of cos(i*theta) (or
+    sine), the float64 angle and cosine adding far less than the final
+    rounding.  Each real or imaginary part of A(theta) is a dot product
+    of n terms +-t, and whatever the summation order it is within
+    gamma_n = n u / (1 - n u) times the sum of the terms' magnitudes of
+    its value on the rounded entries; so it is within
+    d = 1.001 n u + gamma_n n (1 + 1.001 u) of the exact part, and
+    d < 1e-4 for n <= 40.  The exact parts R, I have |R| + |I| <= sqrt(2) n,
+    so the computed R^2 + I^2 is off by at most 2 sqrt(2) n d + 2 d^2 plus
+    the roundings of squaring and adding, at most 2.1 u n^2: under 0.012
+    for n <= 40, and PSD_TOL = 0.05 exceeds that four times over.  The
+    slack only lets through a few more A's, which the search of (C;D)
+    then rejects."""
+    signs = signs.astype(PSD_FLOAT, copy=False)
+    keep = np.arange(signs.shape[1])
+    for table in tables:
+        power = table @ signs
+        np.square(power, out=power)
+        half = len(table) // 2
+        power[:half] += power[half:]
+        passed = np.flatnonzero(power[:half].max(axis=0) <= 2 * n + PSD_TOL)
+        keep, signs = keep[passed], signs[:, passed]
+    return keep
+
+
+def _sweep_and_place(n: int, tracks, shard: tuple[int, int]) -> dict:
+    """The NS search, A first.  The repeated track (A;A) is swept alone
+    over its prefix tables with its row sums pruned (_sweep); each
+    completed A must pass the power test (_psd_keep); and the surviving
+    A's, in batches of at least CHUNK (or what is left at the end), are
+    the root states of the search of the (C;D) track, each with p = 2 N_A
+    and A's row sums, completed by _expand on _levels(n, (cd,), solutions).
+    Every test on A is necessary and the two prefix machines are
+    independent, so the leaves are exactly those of the joint search of
+    both tracks, in another order."""
+    aa, cd = tracks
+    m = n // 2
+    solutions = _solutions(n, tracks)
+    sweep_levels = _levels(n, (aa,), np.unique(solutions[:, :1], axis=0))
+    place_levels = _levels(n, (cd,), solutions)
+    tables = _psd_tables(n)
+    strides = _row_strides(n, solutions.shape[1])
+    open_rows = n * int(strides[1:].sum())
+    held: list[_Block] = []  # completed A's that passed, not yet placed
+    waiting = 0  # how many A's held holds
+    leaves: list[dict] = []
+
+    def place() -> None:
+        nonlocal waiting
+        waiting = 0
+        a_syms = np.concatenate([b.syms[0] for b in held], axis=1)
+        plain = np.concatenate([b.plain for b in held]) * strides[0] + open_rows
+        alt = np.concatenate([b.alt for b in held]) * strides[0] + open_rows
+        held.clear()
+        a = _spell(a_syms, n, TOP_LEFT, TOP_RIGHT)
+        count = a.shape[1]
+        p = np.zeros((n, count), dtype=np.int16)
+        for i in range(1, n):
+            p[i] = 2 * (a[:-i] * a[i:]).sum(axis=0, dtype=np.int16)
+        root = _Block(
+            p,
+            [np.zeros((0, count), dtype=np.int8)],
+            np.zeros((1, count), dtype=np.int8),
+            plain,
+            alt,
+            np.arange(count, dtype=np.int32),
+        )
+        _descend(
+            root, 0, n - m,
+            lambda block, k: _expand(block, n, k, (cd,), place_levels[k]),
+            lambda block: leaves.append({"syms": [a_syms.take(block.origin, axis=1).T, block.syms[0].T]}),
+        )
+
+    def admit(block: _Block) -> None:
+        # The last sweep level holds up to 4 * CHUNK A's; testing CHUNK at
+        # a time keeps the float arrays of the power test small.
+        nonlocal waiting
+        for lo in range(0, len(block), CHUNK):
+            part = block.take(slice(lo, lo + CHUNK))
+            keep = _psd_keep(_spell(part.syms[0], n, TOP_LEFT, TOP_RIGHT, PSD_FLOAT), n, tables)
+            if len(keep):
+                held.append(part.take(keep))
+                waiting += len(keep)
+        if waiting >= CHUNK:
+            place()
+
+    _descend(
+        _root(n, (aa,)), 0, n - m,
+        lambda block, k: _sweep(block, n, k, aa, sweep_levels[k]),
+        admit, shard, min(3, m),
+    )
+    if held:
+        place()
+    return _merge_leaves(leaves, tracks, n)
+
+
 def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
     """Enumerate every completed assignment of the tracks.  Returns
     {"syms": per track, one row of n - n//2 raw quads per leaf}, the
     central (odd n) as the last quad.
 
-    A recursive descent over the n - n//2 levels of _levels: the output of
-    one expansion (the states with columns 1..k placed) is expanded into
-    column k+1 in slices of at most CHUNK states, each slice's output
-    searched to the end before the next slice is taken.  The last level's
-    output is the leaves.  So each level holds at most the unexpanded rest
-    of one expansion, and memory stays bounded whatever the frontier size.
-
-    shard=(i, w) deterministically keeps every w-th state of the level-3
-    frontier (level n//2 when that is shallower), so the w shards
-    i = 0..w-1 partition the search.  That frontier is the output of one
-    expansion, and is strided as one block.
+    When the first track repeats one sequence (NS), that sequence is
+    swept first and the other track placed on each survivor
+    (_sweep_and_place); otherwise (Golay) the tracks are placed together,
+    column by column, by _descend over the levels of _levels.  shard=(i, w)
+    keeps every w-th state of the frontier after level 3 (level n//2 when
+    that is shallower) of the sweep, or of the search, so the w shards
+    i = 0..w-1 partition it.
     """
+    if tracks[0].pair_rows == 1:
+        return _sweep_and_place(n, tracks, shard)
     m = n // 2
     levels = _levels(n, tracks)
-    shard_index, shard_count = shard
     leaves: list[dict] = []
-
-    def descend(block: _Block | None, k: int) -> None:
-        # The block is held by this frame alone, so it is freed on return,
-        # before its level's next slice is expanded.
-        if block is None:
-            return
-        if k == min(3, m) and shard_count > 1:
-            block = block.take(np.arange(shard_index, len(block), shard_count))
-        if k == n - m:
-            # bounds[n - m] is identically zero, so the survivors satisfy
-            # every equation; they are the leaves.
-            leaves.append({"syms": [s.T for s in block.syms]})
-            return
-        for lo in range(0, len(block), CHUNK):
-            chunk = block.take(slice(lo, lo + CHUNK))
-            descend(_expand(chunk, n, k + 1, tracks, levels[k + 1]), k + 1)
-
-    descend(_root(n, tracks), 0)
+    # bounds[n - m] is identically zero, so the last level's survivors
+    # satisfy every equation; they are the leaves.
+    _descend(
+        _root(n, tracks), 0, n - m,
+        lambda block, k: _expand(block, n, k, tracks, levels[k]),
+        lambda block: leaves.append({"syms": [s.T for s in block.syms]}),
+        shard, min(3, m),
+    )
     return _merge_leaves(leaves, tracks, n)
 
 
-# Searches shorter than this run in-process whatever the worker count:
-# measured on 2 cores, below n = 17 starting the pool costs more than the
-# second worker saves.
+# Searches shorter than this run in-process whatever the worker count.
+# Measured in-process on 2 cores (median of 5 runs, 1 vs 2 workers): NS
+# n = 20 took 0.048 / 0.091 s, 23 0.170 / 0.173 s, 24 0.130 / 0.139 s,
+# 25 1.67 / 0.93 s and 26 0.94 / 0.61 s; Golay n = 17 0.062 / 0.078 s,
+# 18 0.083 / 0.084 s and 20 0.50 / 0.32 s.  So an NS search gains time
+# from the pool only from n = 25, but it keeps the pool from 17 up: the
+# search then runs in the workers, beside the main process's leaf checks
+# rather than on top of them, and no process peaks as high (`nsq search
+# --n 19`: 30.9 MB with 2 workers, 34.8 MB in one process).
 POOL_MIN_N = 17
 
 
-def _sign_rows(leaves: dict, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per track, the top and bottom +1/-1 rows (one per leaf, shape
-    (leaves, n)) that the raw quads spell: each quad's left column fills
-    the first n - n//2 positions in order, and its right column the last
-    n - n//2 in reverse.  For odd n both reach the central position, where
-    the central quad's two columns agree."""
+def _spell(syms: np.ndarray, n: int, left, right, dtype=np.int8) -> np.ndarray:
+    """The +1/-1 sequences, shape (n, states), that one row of the raw
+    quads syms (pairs, states) spells, left and right giving that row's
+    sign in a quad's two columns: each quad's left column fills the first
+    n - n//2 positions in order, and its right column the last n - n//2
+    in reverse.  For odd n both reach the central position, where the
+    central quad's two columns agree."""
     m = n // 2
-    out = []
-    for syms in leaves["syms"]:
-        top = np.empty((len(syms), n), dtype=np.int8)
-        bottom = np.empty_like(top)
-        top[:, :n - m], top[:, m:] = TOP_LEFT[syms], TOP_RIGHT[syms][:, ::-1]
-        bottom[:, :n - m], bottom[:, m:] = BOT_LEFT[syms], BOT_RIGHT[syms][:, ::-1]
-        out.append((top, bottom))
+    out = np.empty((n, syms.shape[1]), dtype=dtype)
+    out[:n - m], out[m:] = left.take(syms), right.take(syms)[::-1]
     return out
+
+
+def _sign_rows(leaves: dict, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per track, the top and bottom +1/-1 rows its leaves spell, one row
+    per leaf: shape (leaves, n)."""
+    return [
+        tuple(
+            np.ascontiguousarray(_spell(syms.T, n, left, right).T)
+            for left, right in ((TOP_LEFT, TOP_RIGHT), (BOT_LEFT, BOT_RIGHT))
+        )
+        for syms in leaves["syms"]
+    ]
+
+
+def _shard(job) -> tuple[int, dict]:
+    n, tracks, shard = job
+    return shard[0], run_search(n, tracks, shard)
 
 
 def _search(n: int, tracks, workers: int):
     """The sign rows of every leaf, searched in this process or split
-    into workers * 4 shards over one pool of workers processes."""
+    into workers * 4 shards over one pool of workers processes, handed
+    out one at a time as workers come free; the parts are merged in
+    shard order."""
     if workers > 1 and n >= POOL_MIN_N:
         shards = workers * 4
         jobs = [(n, tracks, (i, shards)) for i in range(shards)]
         with multiprocessing.Pool(workers) as pool:
-            leaves = _merge_leaves(pool.starmap(run_search, jobs), tracks, n)
+            parts = dict(pool.imap_unordered(_shard, jobs))
+        leaves = _merge_leaves([parts[i] for i in range(shards)], tracks, n)
     else:
         leaves = run_search(n, tracks)
     return _sign_rows(leaves, n)

@@ -1,10 +1,11 @@
 """Exhaustive, pruned enumeration of the equivalence classes of NS(n).
 
-The enumerator interleaves the two code prefixes in one outward-in
-branch-and-bound (see _engine); every leaf already satisfies the twelve
-canonical-form conditions, so the classes are exactly the leaves.  Each
-leaf is nonetheless re-verified through the independent sequence-level
-predicates before it is emitted.
+The enumerator sweeps the (A;A) code prefix first, keeps the A's that
+pass the row-sum and power-spectrum tests, and completes each with the
+(C;D) code prefix in an outward-in branch-and-bound (see _engine); every
+leaf already satisfies the twelve canonical-form conditions, so the
+classes are exactly the leaves.  Each leaf is nonetheless re-verified
+through the independent sequence-level predicates before it is emitted.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ class ClassRecord:
 
 
 # Largest length enumerate_classes searches.  Memory is bounded by the
-# engine's chunked traversal, so time sets the limit: the search grows
-# several-fold per length, and n = 26 takes about two minutes on two cores.
-MAX_EXHAUSTIVE = 26
+# engine's chunked traversal, so time sets the limit: the A sweep grows
+# about twofold per length, and with two workers on two cores n = 29
+# takes 5 s and n = 31 48 s (93 s of CPU time).
+MAX_EXHAUSTIVE = 31
 
 
 def _verified(quad: NormalQuadruple, p_text: str, q_text: str) -> NormalQuadruple:

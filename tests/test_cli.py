@@ -4,7 +4,7 @@ import os
 import pytest
 
 from nsq.cli import main
-from nsq.search import enumerate_classes
+from nsq.search import MAX_EXHAUSTIVE, enumerate_classes
 
 
 def run(capsys, *argv):
@@ -78,14 +78,14 @@ class TestSearch:
         assert serial == parallel
 
     @pytest.mark.parametrize("command", [
-        ("search", "--n", "27"),
+        ("search", "--n", str(MAX_EXHAUSTIVE + 1)),
         ("summary", "--from", "1", "--to", "100000"),
-        ("diff-tables", "--n", "27"),
+        ("diff-tables", "--n", str(MAX_EXHAUSTIVE + 1)),
     ])
     def test_beyond_budget_is_usage_error(self, capsys, command):
         code, out, err = run(capsys, *command)
         assert code == 2 and out == ""
-        assert "budgeted up to n = 26" in err
+        assert f"budgeted up to n = {MAX_EXHAUSTIVE}" in err
 
 
 class TestCodecCommands:

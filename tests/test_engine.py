@@ -2,12 +2,15 @@
 row-sum solutions derived from the tracks against hand-written solvers
 of the square identities, the row-sum reach tables against a direct
 broadcast of their predicate, the correlation bounds against a count of
-the undetermined products, the per-level frontier sizes of the search,
-the chunked depth-first traversal against a level-synchronous one, the
-shift-major kernel against the row-major one it replaced, the track
-tables against the symbol scans they replaced, the central column held
-as a quad, and its level of the kernel against a loop over the central
-combinations."""
+the undetermined products, the per-level frontier sizes of the joint
+search and of the A sweep and (C;D) placement, the A-first NS search and
+the chunked depth-first traversal against the joint search of both
+tracks (level-synchronous, or the same chunked descent), the shift-major
+kernel against the row-major one it replaced, the track tables against
+the symbol scans they replaced, the central column held as a quad, its
+level of the kernel against a loop over the central combinations, and
+the power test against the bundled representatives and its float error
+bound."""
 
 import itertools
 import tracemalloc
@@ -27,6 +30,8 @@ from nsq._engine import (
     CHUNK,
     DD,
     ORTHOGONAL_RAWS,
+    PSD_FLOAT,
+    PSD_TOL,
     SC,
     SS,
     TOP_LEFT,
@@ -35,13 +40,18 @@ from nsq._engine import (
     _FORBIDDEN,
     _SS_FLAT,
     _bounds,
+    _descend,
     _expand,
     _levels,
     _merge_leaves,
+    _psd_keep,
+    _psd_tables,
     _reach_table,
     _root,
     _row_strides,
     _solutions,
+    _spell,
+    _sweep,
     run_search,
     golay_tracks,
     ns_tracks,
@@ -107,12 +117,14 @@ def test_solutions_follow_from_the_tracks(n):
         assert sorted(map(tuple, derived.tolist())) == sorted(map(tuple, solver(n).tolist()))
 
 
-def reachable_oracle(partial: np.ndarray, solutions: np.ndarray, remaining: int) -> np.ndarray:
+def reachable_oracle(partial: np.ndarray, solutions: np.ndarray, remaining) -> np.ndarray:
     """Per partial row-sum vector: can the remaining positions of each row
-    still bring it to some solution?  One broadcast over every solution."""
+    (one count, or one per row) still bring it to some solution?  One
+    broadcast over every solution."""
     if not len(solutions):
         return np.zeros(len(partial), dtype=bool)
     diff = solutions[None, :, :].astype(np.int16) - partial[:, None, :]
+    remaining = np.asarray(remaining)
     ok = (np.abs(diff) <= remaining) & (((diff - remaining) & 1) == 0)
     return ok.all(axis=2).any(axis=1)
 
@@ -132,6 +144,24 @@ def test_reach_table_matches_broadcast_oracle(n, solver):
         assert table.shape == ((2 * n + 1) ** rows,)
         expected = reachable_oracle(partial, solutions, remaining)
         assert np.array_equal(table[flat], expected), remaining
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_reach_table_with_complete_rows_matches_oracle(n):
+    # The (C;D) placement looks up (a, c, d) with the A row complete: its
+    # sum must match a solution exactly while C and D have r left.  The
+    # A sweep looks up a alone, against the solutions' a values.
+    solutions = ns_solutions(n)
+    axis = range(-n, n + 1)
+    partial = np.array(list(itertools.product(axis, repeat=3)), dtype=np.int16)
+    flat = (partial.astype(np.int64) + n) @ _row_strides(n, 3)
+    a_values = np.unique(solutions[:, :1], axis=0)
+    for remaining in range(n + 1):
+        table = _reach_table(n, solutions, [0, remaining, remaining])
+        assert np.array_equal(table[flat], reachable_oracle(partial, solutions, [0, remaining, remaining]))
+        table = _reach_table(n, a_values, remaining)
+        expected = reachable_oracle(np.arange(-n, n + 1)[:, None], a_values, remaining)
+        assert np.array_equal(table, expected)
 
 
 def test_reach_table_of_empty_solution_set_is_all_false():
@@ -212,6 +242,22 @@ def level_search(n: int, tracks, chunk: int = 1 << 15):
     return sizes, _merge_leaves(parts, tracks, n)
 
 
+def joint_search(n: int, tracks, shard=(0, 1)) -> dict:
+    """Every track placed together, column by column, in the chunked
+    recursive descent: the joint search of NS, the oracle of the A-first
+    search."""
+    m = n // 2
+    levels = _levels(n, tracks)
+    leaves = []
+    _descend(
+        _root(n, tracks), 0, n - m,
+        lambda block, k: _engine._expand(block, n, k, tracks, levels[k]),
+        lambda block: leaves.append({"syms": [s.T for s in block.syms]}),
+        shard, min(3, m),
+    )
+    return _merge_leaves(leaves, tracks, n)
+
+
 def leaf_rows(leaves: dict) -> list[tuple]:
     """Each leaf as one row (every track's quads side by side), sorted, so
     that searches visiting leaves in any order compare equal."""
@@ -266,31 +312,115 @@ def test_shards_partition_the_search(kind, n, shards):
     assert leaf_rows(_merge_leaves(parts, tracks, n)) == oracle(kind, n)[1]
 
 
+@pytest.mark.parametrize("n", range(21, 25))
+def test_a_first_matches_joint_search_past_20(n):
+    # Past n = 20 the level-synchronous oracle holds too much at once; the
+    # joint chunked descent is the oracle, serially and in 8 shards.
+    tracks = ns_tracks(n)
+    want = leaf_rows(joint_search(n, tracks))
+    assert leaf_rows(run_search(n, tracks)) == want
+    parts = [run_search(n, tracks, shard=(i, 8)) for i in range(8)]
+    assert leaf_rows(_merge_leaves(parts, tracks, n)) == want
+
+
+def test_joint_search_matches_level_synchronous_oracle():
+    for n in range(1, 21):
+        for kind in SEARCHES:
+            assert leaf_rows(joint_search(n, search_inputs(kind, n))) == oracle(kind, n)[1]
+
+
+def a_first_frontiers(monkeypatch, n: int):
+    """What the A-first search of NS(n) keeps: the completed A's left
+    after each sweep level, those that pass the power test, and the
+    (C;D) states left after each placement level."""
+    sweep, place, passed = {}, {}, []
+
+    def count(fn, sizes):
+        def spy(block, n_, k, *args):
+            out = fn(block, n_, k, *args)
+            sizes[k] = sizes.get(k, 0) + (0 if out is None else len(out))
+            return out
+        return spy
+
+    def psd_spy(signs, n_, tables):
+        keep = _psd_keep(signs, n_, tables)
+        passed.append(len(keep))
+        return keep
+
+    monkeypatch.setattr(_engine, "_sweep", count(_sweep, sweep))
+    monkeypatch.setattr(_engine, "_expand", count(_expand, place))
+    monkeypatch.setattr(_engine, "_psd_keep", psd_spy)
+    leaves = run_search(n, ns_tracks(n))
+    monkeypatch.undo()
+    last = n - n // 2
+    return (
+        [sweep.get(k, 0) for k in range(1, last + 1)],
+        sum(passed),
+        [place.get(k, 0) for k in range(1, last + 1)],
+        len(leaves["syms"][0]),
+    )
+
+
+# The A-first search of NS(n), recorded when it replaced the joint
+# search: the A's left after each sweep level (admitted by the prefix
+# tables, sums still reachable), the A's passing the power test, the
+# (C;D) states left after each placement level, and the leaves.
+GOLDEN_A_FIRST = {
+    20: (
+        [1, 3, 10, 36, 136, 528, 2079, 8183, 30849, 65331],
+        197,
+        [197, 290, 528, 1096, 2187, 4588, 8921, 11641, 3869, 36],
+        36,
+    ),
+    25: (
+        [2, 4, 12, 40, 144, 544, 2112, 8320, 33014, 130903, 507612, 1837749, 3330693],
+        1589,
+        [1589, 2318, 4129, 8402, 16918, 34932, 71696, 145896, 276218, 381533, 222657, 1885, 4],
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_A_FIRST))
+def test_a_first_frontiers_match_golden(monkeypatch, n):
+    assert a_first_frontiers(monkeypatch, n) == GOLDEN_A_FIRST[n]
+
+
 def test_traversal_is_chunked_and_deepest_first(monkeypatch):
-    # Count the states each level holds from what _expand consumes and
-    # produces.  No expansion takes more than a chunk, and while a level
-    # is expanded every deeper level it feeds is empty: each expansion's
-    # output is searched to the end before the next slice is taken.
+    # Count the states each level holds from what each phase's expansion
+    # (the A sweep, the placement of the tracks) consumes and produces.
+    # No expansion takes more than a chunk, and while a level is expanded
+    # every deeper level of its phase is empty: each expansion's output is
+    # searched to the end before the next slice is taken.  Level 0, the
+    # root, is not counted: the placement of (C;D) starts from a batch of
+    # swept A's.
     n = 18
-    seen, held = [], []
+    seen = {}
 
-    def spy(block, n_, k, *args):
-        seen.append(len(block))
-        assert len(block) <= CHUNK
-        held[k - 1] -= len(block)
-        assert not any(held[k:n // 2]), (k, held)
-        out = _expand(block, n_, k, *args)
-        if out is not None:
-            held[k] += len(out)
-        return out
+    def spy(fn):
+        held = seen.setdefault(fn, [[], [0] * (n // 2 + 1)])
 
-    monkeypatch.setattr(_engine, "_expand", spy)
+        def counted(block, n_, k, *args):
+            held[0].append(len(block))
+            assert len(block) <= CHUNK
+            if k > 1:
+                held[1][k - 1] -= len(block)
+            assert not any(held[1][k:n // 2]), (k, held[1])
+            out = fn(block, n_, k, *args)
+            if out is not None:
+                held[1][k] += len(out)
+            return out
+        return counted
+
+    monkeypatch.setattr(_engine, "_sweep", spy(_sweep))
+    monkeypatch.setattr(_engine, "_expand", spy(_expand))
     for kind in SEARCHES:
-        held[:] = [1] + [0] * (n // 2)
         run_search(n, search_inputs(kind, n))
-        assert held[:n // 2] == [0] * (n // 2)
-    # Both frontiers pass 10 * CHUNK, so full chunks are taken.
-    assert max(seen) == CHUNK
+        for _, held in seen.values():
+            assert held[1:n // 2] == [0] * (n // 2 - 1)
+    # The Golay frontier and the A sweep pass 10 * CHUNK, so full chunks
+    # are taken.
+    assert max(seen[_sweep][0]) == max(seen[_expand][0]) == CHUNK
 
 
 class RowBlock(NamedTuple):
@@ -385,7 +515,10 @@ def test_shift_major_kernel_matches_row_major_oracle(monkeypatch, kind, n):
         return got
 
     monkeypatch.setattr(_engine, "_expand", spy)
-    run_search(n, search_inputs(kind, n))
+    tracks = search_inputs(kind, n)
+    run_search(n, tracks)  # NS: the placement of (C;D) on swept A's
+    if kind == "ns":
+        joint_search(n, tracks)
     assert expanded or n == 1  # n = 1 has no pair to place
 
 
@@ -409,15 +542,18 @@ def test_forbidden_gate_value_cannot_cancel(n):
 
 
 # Ceilings of 1.1x the tracemalloc peaks of run_search(n, ...), on 2 cores
-# with Python 3.11 and numpy 2.4.  n = 20: with the row-major kernel that
-# the shift-major one replaced, 7_657_510 bytes for NS and 5_040_522 for
-# Golay.  Odd n: with the central column as a separate broadcast step
-# after the kernel, 6_051_060 bytes for NS(19) and 8_431_420 for NS(21).
+# with Python 3.11 and numpy 2.4.  Golay n = 20: with the row-major
+# kernel that the shift-major one replaced, 5_040_522 bytes.  NS, with
+# the A sweep and the placement of (C;D) that replaced the joint search:
+# 2_185_021 bytes for n = 19, 2_904_621 for n = 20, 2_911_452 for n = 21
+# and 7_777_765 for n = 25 (the joint search peaked at 6.1, 7.7 and
+# 8.4 MB at n = 19, 20 and 21).
 LIVE_PEAK_CEILINGS = {
     ("golay", 20): 5_544_000,
-    ("ns", 19): 6_656_000,
-    ("ns", 20): 8_423_000,
-    ("ns", 21): 9_274_000,
+    ("ns", 19): 2_404_000,
+    ("ns", 20): 3_196_000,
+    ("ns", 21): 3_203_000,
+    ("ns", 25): 8_556_000,
 }
 
 
@@ -447,29 +583,33 @@ def test_tiny_chunks_match_oracle(monkeypatch, kind, n):
 
 
 def test_level_setup_is_built_once_per_level(monkeypatch):
-    # _levels runs once per search; every chunk of pair k is expanded with
-    # that search's one level k object.
-    built, expanded = [], []
+    # _levels runs once per search, or for NS once for the A sweep and
+    # once for the placement of (C;D); every chunk of pair k is expanded
+    # with that phase's one level k object.
+    built, expanded = [], {_sweep: [], _expand: []}
 
-    def levels_spy(n, tracks):
-        built.append(_levels(n, tracks))
+    def levels_spy(n, tracks, *args):
+        built.append(_levels(n, tracks, *args))
         return built[-1]
 
-    def expand_spy(block, n, k, tracks, level):
-        assert level is built[-1][k]
-        expanded.append(k)
-        return _expand(block, n, k, tracks, level)
+    def spy(fn):
+        def expand_spy(block, n, k, tracks, level):
+            assert level is built[-1 if fn is _expand else 0][k]
+            expanded[fn].append(k)
+            return fn(block, n, k, tracks, level)
+        return expand_spy
 
     monkeypatch.setattr(_engine, "_levels", levels_spy)
-    monkeypatch.setattr(_engine, "_expand", expand_spy)
-    for kind in SEARCHES:
+    monkeypatch.setattr(_engine, "_sweep", spy(_sweep))
+    monkeypatch.setattr(_engine, "_expand", spy(_expand))
+    # Level 9 holds ~0.5 M Golay states (GOLDEN_FRONTIERS) and ~31 k
+    # swept A's (GOLDEN_A_FIRST), so placing pair 10 takes many chunks.
+    for kind, phases, chunked, least in (("golay", 1, _expand, 100), ("ns", 2, _sweep, 5)):
         built.clear()
-        expanded.clear()
+        expanded[chunked].clear()
         run_search(20, search_inputs(kind, 20))
-        assert len(built) == 1 and len(built[0]) == 11
-        # Level 9 holds ~0.5 M states (GOLDEN_FRONTIERS), so placing pair
-        # 10 takes over a hundred chunks.
-        assert expanded.count(10) > 100
+        assert len(built) == phases and all(len(b) == 11 for b in built)
+        assert expanded[chunked].count(10) > least
 
 
 @pytest.mark.parametrize("n", range(1, 23))
@@ -537,24 +677,31 @@ def cd_central_oracle(syms: np.ndarray, z: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", range(1, 20, 2))
 def test_central_table_matches_symbol_scan(monkeypatch, n):
-    # Every state that reaches the central level, looked up in the table
-    # by its prefix state and scanned by its quads, for each central.
+    # Every state that reaches the central level, in the A sweep, the
+    # placement of (C;D) and the joint search, looked up in the table by
+    # its prefix state and scanned by its quads, for each central.
+    oracles = {0: aa_central_oracle, 1: cd_central_oracle}
+    tracks = search_inputs("ns", n)
     blocks = []
 
-    def spy(block, n_, k, tracks_, level):
-        if 2 * k > n_:
-            blocks.append(block)
-        return _expand(block, n_, k, tracks_, level)
+    def spy(fn):
+        def central_spy(block, n_, k, placed, level):
+            if 2 * k > n_:
+                ids = placed if fn is _expand else (placed,)
+                blocks.append(([i for p in ids for i, t in enumerate(tracks) if t is p], block))
+            return fn(block, n_, k, placed, level)
+        return central_spy
 
-    monkeypatch.setattr(_engine, "_expand", spy)
-    tracks = search_inputs("ns", n)
+    monkeypatch.setattr(_engine, "_sweep", spy(_sweep))
+    monkeypatch.setattr(_engine, "_expand", spy(_expand))
     run_search(n, tracks)
-    assert blocks
-    for block in blocks:
-        for t, oracle_mask in enumerate((aa_central_oracle, cd_central_oracle)):
+    joint_search(n, tracks)
+    assert {tuple(ids) for ids, _ in blocks} == {(0,), (1,), (0, 1)} or n == 17
+    for ids, block in blocks:
+        for row, t in enumerate(ids):
             for z in range(4):
-                table = tracks[t].central[block.fst[t], z]
-                assert np.array_equal(table, oracle_mask(block.syms[t].T, z)), (t, z)
+                table = tracks[t].central[block.fst[row], z]
+                assert np.array_equal(table, oracles[t](block.syms[row].T, z)), (t, z)
 
 
 @pytest.mark.parametrize("n", range(1, 22, 2))
@@ -569,18 +716,20 @@ def test_central_broadcast_matches_per_combination_oracle(monkeypatch, kind, n):
     def spy(block, n_, k, tracks_, level):
         got = _expand(block, n_, k, tracks_, level)
         if 2 * k > n_:
-            steps.append((block, got))
+            steps.append((tracks_, block, got))
         return got
 
     monkeypatch.setattr(_engine, "_expand", spy)
-    run_search(n, tracks)
+    run_search(n, tracks)  # NS: the central of (C;D), A complete
+    if kind == "ns":
+        joint_search(n, tracks)
     # Odd Golay lengths above 1 have no row-sum solution, so no state
     # gets past pair 1.
     assert steps or (kind == "golay" and n > 1)
-    for block, got in steps:
+    for tracks_, block, got in steps:
         syms = [] if got is None else [{"syms": [s.T for s in got.syms]}]
-        assert leaf_rows(_merge_leaves(syms, tracks, n)) == leaf_rows(
-            central_leaves_oracle(block, n, tracks)
+        assert leaf_rows(_merge_leaves(syms, tracks_, n)) == leaf_rows(
+            central_leaves_oracle(block, n, tracks_)
         )
         assert got is None or all(s.dtype == np.int8 for s in got.syms)
 
@@ -596,3 +745,70 @@ def test_central_is_the_last_quad(n):
             assert quads.shape[1] == n - n // 2
             allowed = {0, 15} if kind == "ns" and t == 0 else {0, 5, 10, 15}
             assert set(quads[:, -1].tolist()) <= allowed
+
+
+def sweep_one(n: int, a: tuple[int, ...]):
+    """Sweep the one sequence A through _sweep, keeping at each level only
+    the state that places A's own quad; None where a level drops it.
+    Returns A's column of signs, spelled from the quads kept."""
+    aa = ns_tracks(n)[0]
+    a_values = np.unique(_solutions(n, ns_tracks(n))[:, :1], axis=0)
+    levels = _levels(n, (aa,), a_values)
+    # Pair k holds A's positions k and n+1-k; the central is both.
+    column = [0 if v > 0 else 3 for v in a]
+    quads = [4 * column[k] + column[n - 1 - k] for k in range(n // 2)]
+    quads += [5 * column[n // 2]] * (n % 2)
+    block = _root(n, (aa,))
+    for k, quad in enumerate(quads, start=1):
+        out = _sweep(block, n, k, aa, levels[k])
+        if out is None or quad not in out.syms[0][k - 1]:
+            return None
+        block = out.take(np.flatnonzero(out.syms[0][k - 1] == quad))
+    return _spell(block.syms[0], n, TOP_LEFT, TOP_RIGHT)
+
+
+def canonical_representatives():
+    from nsq.equivalence import canonical_raw
+    from nsq.quadcodec import decode_quadruple, parse_code
+    from nsq.tables import load_tables
+
+    for row in load_tables().reps:
+        raw = decode_quadruple(*parse_code(f"{row.p_code} {row.q_code}", n=row.n)).raw()
+        if canonical_raw(raw) == raw:
+            yield row.n, raw[0]
+
+
+def test_sweep_and_power_test_pass_every_canonical_representative():
+    # Every bundled representative that is its orbit's canonical member,
+    # n = 25, 29 and 32 included: the prefix tables admit its A, its row
+    # sums reach a solution's a at every level, and it passes the power
+    # test at every angle.  All of these tests are necessary only.
+    lengths = set()
+    for n, a in canonical_representatives():
+        signs = sweep_one(n, a)
+        assert signs is not None, (n, a)
+        assert signs[:, 0].tolist() == list(a)
+        assert _psd_keep(signs, n, _psd_tables(n)).tolist() == [0], (n, a)
+        lengths.add(n)
+    assert {25, 29, 32} <= lengths
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_power_test_error_stays_inside_its_tolerance(n):
+    # The bound of _psd_keep's docstring, evaluated, leaves PSD_TOL four
+    # times the room it needs.  On the all-ones sequence, whose power
+    # peaks at n^2, and on random sequences, the power computed from the
+    # tables is that close to its complex128 value at the stated angles.
+    u = float(np.finfo(PSD_FLOAT).eps) / 2
+    gamma = n * u / (1 - n * u)
+    d = 1.001 * n * u + gamma * n * (1 + 1.001 * u)
+    assert 2 * np.sqrt(2) * n * d + 2 * d * d + 2.1 * u * n * n < PSD_TOL / 4
+    rng = np.random.default_rng(n)
+    signs = np.concatenate([np.ones((n, 1)), rng.choice([-1, 1], size=(n, 200))], axis=1)
+    angles = (np.pi * (np.arange(1, 17) - 0.5) / 16, 2 * np.pi * np.arange(2 * n + 1) / (4 * n))
+    for table, theta in zip(_psd_tables(n), angles):
+        assert table.dtype == PSD_FLOAT and table.shape == (2 * len(theta), n)
+        z = table @ signs.astype(PSD_FLOAT)
+        got = z[:len(theta)] ** 2 + z[len(theta):] ** 2
+        exact = np.abs(np.exp(1j * np.outer(theta, np.arange(n))) @ signs) ** 2
+        assert np.abs(got - exact).max() < PSD_TOL / 4

@@ -67,7 +67,7 @@ class TestEnumerate:
 
     def test_parallel_matches_serial(self, monkeypatch):
         # Both searches, through the shard pool and in-process; odd n
-        # also runs the central-column leaf step in every shard.  The pool
+        # also places the central column in every shard.  The pool
         # threshold is lowered so that these short searches still use the
         # pool.
         from nsq import _engine
@@ -85,7 +85,7 @@ class TestEnumerate:
             enumerate_classes(0)
 
     def test_budget(self):
-        with pytest.raises(ValueError, match="budgeted up to n = 26"):
+        with pytest.raises(ValueError, match=f"budgeted up to n = {MAX_EXHAUSTIVE}"):
             enumerate_classes(MAX_EXHAUSTIVE + 1)
 
 
