@@ -22,9 +22,9 @@ quad combination) candidates in four stages, cheapest first, and gathers
 a state's full data only for the survivors:
 
 1. exact + prefix: after level k the combined correlation at shift n-k is
-   fully determined and must vanish, and each track's admission table
-   must accept the new quad; both are one gate table per track (see
-   _Level), so the check is one row gather per track and one compare;
+   fully determined and must vanish, and the track's admission table
+   must accept the new quad; both are one gate table (see _Level), so
+   the check is one row gather and one compare;
 2. row sums: the plain and alternating partial row sums must still reach
    an integer solution of the square identity the completed sequences
    satisfy, looked up in a table built once per level (_levels);
@@ -35,7 +35,7 @@ a state's full data only for the survivors:
 
 All arithmetic but the power test's is integer.  A block is held
 shift-major (see _Block): each shift's correlations, each pair's quads
-and each track's prefix states are one contiguous row over the states,
+and the prefix states are one contiguous row over the states,
 so the survivors are gathered column-wise and every update and bound
 check runs along whole rows.
 
@@ -46,20 +46,20 @@ unexpanded rest of one expansion; the placement takes the swept A's in
 batches of about CHUNK.  Memory is bounded by CHUNK and n, not by the
 frontier or the number of A's.
 
-A search is defined by its tracks alone: the square identity its row
-sums must reach follows from which sequences each track holds
-(_solutions).
+The row sums of a search must reach an integer solution of its square
+identity, given by the weight of each row (_solutions): (2, 1, 1) for
+the rows A, C, D of NS and (1, 1) for A, B of Golay.
 
 Quads are held as raw ids 4*left + right, where left/right are the
 column states 0=(+,+) 1=(+,-) 2=(-,+) 3=(-,-); the column state ids
 coincide with the central-column labels of the text codes.  For odd n
 the central column z is its own mirror image, so it is held as the raw
-quad 5*z whose two columns are both z.  A leaf is then, per track, one
-row of n - n//2 raw quads, the central (odd n) last.  This module is the
-only one that knows the raw ids or runs worker processes: search_normal
-and search_golay split a search into shards over one process pool when
-asked to, and hand back plain +1/-1 sign rows (see _sign_rows), never
-raw ids.
+quad 5*z whose two columns are both z.  A leaf is then, per sequence
+pair of the solution, one row of n - n//2 raw quads, the central (odd n)
+last.  This module is the only one that knows the raw ids or runs worker
+processes: search_normal and search_golay split a search into shards
+over one process pool when asked to, and hand back plain +1/-1 sign rows
+(see _sign_rows), never raw ids.
 """
 
 from __future__ import annotations
@@ -116,14 +116,13 @@ _SYMMETRIC_RAWS = frozenset({0, 5, 10, 15})  # labels 1, 2, 7, 8
 
 @dataclass(frozen=True)
 class TrackSpec:
-    """One sequence pair being searched: the quads it may use and three
+    """One sequence pair a search places: the quads it may use and three
     tables over one prefix state machine, whose state 0 is the start."""
 
     alphabet: np.ndarray         # raw ids the pair may use
     allow: np.ndarray            # (states, 16) bool: quad may follow state
     trans: np.ndarray            # (states, 16) int8: state after the quad
     central: np.ndarray          # (states, 4) bool: central z may follow state
-    pair_rows: int               # 1 when the pair repeats one sequence
 
 
 def _aa_tables(odd: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -197,8 +196,8 @@ def _cd_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def ns_tracks(n: int) -> tuple[TrackSpec, TrackSpec]:
-    aa = TrackSpec(np.array(_AA_RAWS, dtype=np.int8), *_aa_tables(n % 2 == 1), pair_rows=1)
-    cd = TrackSpec(np.array(_CD_RAWS, dtype=np.int8), *_cd_tables(), pair_rows=2)
+    aa = TrackSpec(np.array(_AA_RAWS, dtype=np.int8), *_aa_tables(n % 2 == 1))
+    cd = TrackSpec(np.array(_CD_RAWS, dtype=np.int8), *_cd_tables())
     return aa, cd
 
 
@@ -209,35 +208,34 @@ def golay_tracks(n: int) -> tuple[TrackSpec]:
         allow=np.ones((1, 16), dtype=bool),
         trans=np.zeros((1, 16), dtype=np.int8),
         central=np.ones((1, 4), dtype=bool),
-        pair_rows=2,
     )
     return (track,)
 
 
-def _solutions(n: int, tracks) -> np.ndarray:
-    """Every row-sum vector the completed rows may have: one row of weight
-    2 for a track that repeats one sequence, else two rows of weight 1,
-    each row sum = n (mod 2), and sum_r w_r x_r^2 = n sum_r w_r.  That is
-    2a^2 + c^2 + d^2 = 4n for NS(n) and a^2 + b^2 = 2n for Golay pairs."""
-    weights = np.array([w for t in tracks for w in ((2,) if t.pair_rows == 1 else (1, 1))])
+def _solutions(n: int, weights) -> np.ndarray:
+    """Every row-sum vector the completed rows may have, row r standing for
+    w_r sequences: each row sum = n (mod 2), and sum_r w_r x_r^2 = n sum_r
+    w_r.  That is 2a^2 + c^2 + d^2 = 4n for NS(n), weights (2, 1, 1), and
+    a^2 + b^2 = 2n for Golay pairs, weights (1, 1)."""
+    weights = np.array(weights)
     axis = np.arange(-n, n + 1, 2)
     grid = np.stack(np.meshgrid(*[axis] * len(weights), indexing="ij"), axis=-1)
     grid = grid.reshape(-1, len(weights))
     return grid[grid**2 @ weights == n * weights.sum()].astype(np.int16)
 
 
-def _bounds(n: int, weight: int) -> np.ndarray:
+def _bounds(n: int) -> np.ndarray:
     """bounds[k][i]: largest |combined correlation at shift i| reachable
-    with columns 1..k placed (pairs, then the central of odd n); weight is
-    the number of underlying sequences.  Shift i has n - i products, and
-    the determined ones are the lag-i autocorrelation of the 0/1
-    indicator of the known positions."""
+    with columns 1..k of the two open sequences placed (pairs, then the
+    central of odd n); A of NS is complete when (C;D) is placed.  Shift i
+    has n - i products, and the determined ones are the lag-i
+    autocorrelation of the 0/1 indicator of the known positions."""
     out = np.zeros((n - n // 2 + 1, n), dtype=np.int16)
     for k in range(n - n // 2 + 1):
         known = np.zeros(n, dtype=np.int16)
         known[:k] = known[n - k:] = 1
         lagged = np.correlate(known, known, "full")[n:]  # lags 1..n-1
-        out[k, 1:] = weight * (np.arange(n - 1, 0, -1) - lagged)
+        out[k, 1:] = 2 * (np.arange(n - 1, 0, -1) - lagged)
     return out
 
 
@@ -271,12 +269,12 @@ def _row_strides(n: int, rows: int) -> np.ndarray:
 
 
 class _Block:
-    """A chunk of search states, held shift-major: one contiguous row per
-    shift, pair or track, one column per state.  p is (n, states), the
-    combined correlation at each shift (row 0 unchecked: the central's
-    self-product lands there); syms holds per track the raw quads placed
-    so far, (pairs, states) int8; fst is (tracks, states), each track's
-    prefix state.  plain and alt hold each state's plain and alternating
+    """A chunk of search states of one track, held shift-major: one
+    contiguous row per shift or pair, one column per state.  p is
+    (n, states), the combined correlation at each shift (row 0 unchecked:
+    the central's self-product lands there); syms holds the raw quads
+    placed so far, (pairs, states) int8; fst is (states,), the prefix
+    state.  plain and alt hold each state's plain and alternating
     row-sum vectors as flat reach-table indices, and origin, when the
     search asks for it, the index of the root state each state descends
     from (else None)."""
@@ -294,8 +292,8 @@ class _Block:
     def take(self, idx):
         return _Block(
             self.p[:, idx],
-            [s[:, idx] for s in self.syms],
-            self.fst[:, idx],
+            self.syms[:, idx],
+            self.fst[idx],
             self.plain[idx],
             self.alt[idx],
             None if self.origin is None else self.origin[idx],
@@ -305,13 +303,12 @@ class _Block:
         return self.p.shape[1]
 
 
-def _root(n: int, tracks) -> _Block:
-    rows = sum(t.pair_rows for t in tracks)
+def _root(n: int, rows: int) -> _Block:
     zero_sums = np.array([n * int(_row_strides(n, rows).sum())], dtype=np.int32)
     return _Block(
         np.zeros((n, 1), dtype=np.int16),
-        [np.zeros((0, 1), dtype=np.int8) for _ in tracks],
-        np.zeros((len(tracks), 1), dtype=np.int8),
+        np.zeros((0, 1), dtype=np.int8),
+        np.zeros(1, dtype=np.int8),
         zero_sums,
         zero_sums.copy(),
         None,
@@ -319,9 +316,9 @@ def _root(n: int, tracks) -> _Block:
 
 
 # Gate value of a quad the track's admission table forbids.  It exceeds every
-# sum of the other terms of the exact check (each track's |SS| <= 4 and the
+# sum of the other terms of the exact check (the track's |SS| <= 4 and the
 # level's correlation bound), so no such sum can cancel it to zero, and
-# tracks * _FORBIDDEN stays far inside int16.
+# that sum plus _FORBIDDEN stays far inside int16.
 _FORBIDDEN = 1 << 12
 
 
@@ -329,110 +326,92 @@ class _Level(NamedTuple):
     """The state-free constants of placing column k, built once per search
     by _levels: pair k, or for odd n and k = n//2 + 1 the central column.
 
-    gate folds each track's exact-check term and admission table (allow,
-    or central) into one int16 table of shape (16 * states, combinations).
-    Its row 16 * state + a holds, per combination, what the track's new
-    quad adds at shift n-k when pair 1 holds the quad a, or _FORBIDDEN
-    where state does not admit the new quad.  The new quad meets pair 1
-    through SS, except at k = 1, where it is pair 1 and meets itself
-    through SC (and a is 0); so the pair levels past the first share one
-    gate per track."""
+    gate folds the exact-check term and the admission table (allow, or
+    central) into one int16 table of shape (16 * states, quads).  Its row
+    16 * state + a holds, per new quad, what it adds at shift n-k when
+    pair 1 holds the quad a, or _FORBIDDEN where state does not admit the
+    new quad.  The new quad meets pair 1 through SS, except at k = 1,
+    where it is pair 1 and meets itself through SC (and a is 0); so the
+    pair levels past the first share one gate."""
 
-    units: list[np.ndarray]  # per track, its quad in every combination
-    gate: list[np.ndarray]   # per track, the folded exact + admission table
-    plain: np.ndarray        # per combination, plain row-sum table offset
-    alt: np.ndarray          # per combination, alternating row-sum offset
+    units: np.ndarray        # the quads the column may take
+    gate: np.ndarray         # the folded exact + admission table
+    plain: np.ndarray        # per quad, plain row-sum table offset
+    alt: np.ndarray          # per quad, alternating row-sum offset
     reach: np.ndarray        # _reach_table(n, solutions, positions left)
     bound: np.ndarray        # largest |correlation| at shifts 1..n-1
     ss: np.ndarray           # crossed-product table of the update, by 16*a+b
 
 
 def _gate(admit: np.ndarray, exact) -> np.ndarray:
-    """admit is (states, combinations); exact broadcasts to (16, combinations)."""
-    combos = admit.shape[1]
-    folded = np.where(admit[:, None], np.broadcast_to(exact, (16, combos)), _FORBIDDEN)
-    return folded.astype(np.int16).reshape(-1, combos)
+    """admit is (states, quads); exact broadcasts to (16, quads)."""
+    quads = admit.shape[1]
+    folded = np.where(admit[:, None], np.broadcast_to(exact, (16, quads)), _FORBIDDEN)
+    return folded.astype(np.int16).reshape(-1, quads)
 
 
-def _combinations(values) -> list[np.ndarray]:
-    """Per track, its value in every combination, the first track slowest."""
-    return [g.reshape(-1) for g in np.meshgrid(*values, indexing="ij")]
-
-
-def _levels(n: int, tracks, solutions: np.ndarray | None = None) -> list[_Level | None]:
+def _levels(n: int, track: TrackSpec, solutions: np.ndarray, rows: int = 2) -> list[_Level | None]:
     """[None, level 1, ..., level n - n//2]: the constants of placing each
-    column, indexed by k; for odd n the last is the central column.
-
-    solutions are the row-sum vectors the reach tables aim at, by default
-    _solutions(n, tracks).  Columns past the tracks' rows lead: they are
-    rows already complete, so their sums must match exactly."""
+    column of the track, indexed by k; for odd n the last is the central
+    column.  The reach tables aim at solutions, whose last rows the
+    track's top and bottom sequences fill, or its top alone when rows = 1
+    (A of (A;A)); earlier rows are complete, so their sums must match."""
     m = n // 2
-    if solutions is None:
-        solutions = _solutions(n, tracks)
-    done = solutions.shape[1] - sum(t.pair_rows for t in tracks)
+    done = solutions.shape[1] - rows
     strides = _row_strides(n, solutions.shape[1])[done:]
-    bounds = _bounds(n, 2 * len(tracks))
-    pairs = _combinations(t.alphabet for t in tracks)
-    first_gate = [_gate(t.allow[:, u], SC[u]) for t, u in zip(tracks, pairs)]
-    later_gate = [_gate(t.allow[:, u], SS[:, u]) for t, u in zip(tracks, pairs)]
+    bounds = _bounds(n)
+    pairs = track.alphabet
+    first_gate = _gate(track.allow[:, pairs], SC[pairs])
+    later_gate = _gate(track.allow[:, pairs], SS[:, pairs])
     levels: list[_Level | None] = [None]
     for k in range(1, n - m + 1):
         units, gate, ss = pairs, first_gate if k == 1 else later_gate, _SS_FLAT
         if k > m:
-            # The central column: per track, the z its table admits in some
+            # The central column: the z the track's table admits in some
             # state, as quads 5*z; when n = 1 there is no pair 1 to meet.
-            zs = _combinations(np.flatnonzero(t.central.any(axis=0)) for t in tracks)
-            units = [(5 * z).astype(np.int8) for z in zs]
-            gate = [
-                _gate(t.central[:, z], SS[:, u] if k > 1 else 0)
-                for t, z, u in zip(tracks, zs, units)
-            ]
+            zs = np.flatnonzero(track.central.any(axis=0))
+            units = (5 * zs).astype(np.int8)
+            gate = _gate(track.central[:, zs], SS[:, units] if k > 1 else 0)
             ss = np.zeros_like(_SS_FLAT)
         sign_left = 1 if k % 2 else -1          # position k
         sign_right = 1 if (n - k) % 2 == 0 else -1  # position n+1-k
         plain, alt = [], []
-        for u, track in zip(units, tracks):
-            halves = [(TOP_LEFT[u], TOP_RIGHT[u])]
-            if track.pair_rows == 2:
-                halves.append((BOT_LEFT[u], BOT_RIGHT[u]))
-            for left, right in halves:
-                if k > m:
-                    right = 0  # the central is one position: count it once
-                plain.append(left + right)
-                alt.append(sign_left * left + sign_right * right)
+        for left, right in ((TOP_LEFT, TOP_RIGHT), (BOT_LEFT, BOT_RIGHT))[:rows]:
+            left, right = left[units], right[units]
+            if k > m:
+                right = 0  # the central is one position: count it once
+            plain.append(left + right)
+            alt.append(sign_left * left + sign_right * right)
         levels.append(_Level(
             units,
             gate,
             np.stack(plain, axis=1) @ strides,
             np.stack(alt, axis=1) @ strides,
-            _reach_table(n, solutions, [0] * done + [n - min(2 * k, n)] * len(plain)),
+            _reach_table(n, solutions, [0] * done + [n - min(2 * k, n)] * rows),
             bounds[k][1:],
             ss,
         ))
     return levels
 
 
-def _expand(block: _Block, n: int, k: int, tracks, level: _Level) -> _Block | None:
+def _expand(block: _Block, n: int, k: int, track: TrackSpec, level: _Level) -> _Block | None:
     """Place column k (1-based: pair k, or for odd n and k = n//2 + 1 the
-    central) on every state of the block and keep the survivors of the
-    exact, row-sum and bound checks, in that order; only the survivors of
-    each check are carried into the next.  level is _levels(n, tracks)[k]."""
-    units = level.units
-    combos = len(units[0])
+    central) of the track on every state of the block and keep the
+    survivors of the exact, row-sum and bound checks, in that order; only
+    the survivors of each check are carried into the next.  level is
+    _levels(n, track, ...)[k]."""
+    combos = len(level.units)
 
     # Exact check at the newly determined shift n-k, and the prefix state
-    # machines, in one gather of gate rows per track: the rows are keyed
-    # by the track's state and its quad at pair 1 (unplaced when k = 1).
-    delta = block.p[n - k][:, None]
-    for t in range(len(tracks)):
-        key = 16 * block.fst[t].astype(np.intp)
-        if k > 1:
-            key += block.syms[t][0]
-        gated = level.gate[t].take(key, axis=0)
-        gated += delta
-        delta = gated
-    flat = np.flatnonzero(delta == 0)
-    del delta, gated  # the bound check below sets the peak; free these first
+    # machine, in one gather of gate rows: the rows are keyed by the
+    # state's prefix state and its quad at pair 1 (unplaced when k = 1).
+    key = 16 * block.fst.astype(np.intp)
+    if k > 1:
+        key += block.syms[0]
+    gated = level.gate.take(key, axis=0)
+    gated += block.p[n - k][:, None]
+    flat = np.flatnonzero(gated == 0)
+    del gated  # the bound check below sets the peak; free it first
     rows_idx, combo_idx = np.divmod(flat, combos, out=(flat, np.empty_like(flat)))
 
     # Row sums, plain and alternating: both must still reach a solution of
@@ -443,37 +422,30 @@ def _expand(block: _Block, n: int, k: int, tracks, level: _Level) -> _Block | No
     if not len(keep):
         return None
     rows_idx, plain, alt = rows_idx[keep], plain[keep], alt[keep]
-    selected = [u.take(combo_idx[keep]) for u in units]
+    selected = level.units.take(combo_idx[keep])
     del combo_idx
 
     # Correlation bound on every shift, after adding the new products: one
     # contiguous row of pair indices 16*a + b per earlier pair j.
     p_new = block.p.take(rows_idx, axis=1)
-    for t in range(len(tracks)):
-        u = selected[t]
-        for j in range(1, k):
-            pair = block.syms[t][j - 1].take(rows_idx).astype(np.int16)
-            pair <<= 4
-            pair += u
-            p_new[k - j] += _DD_FLAT.take(pair)
-            p_new[n + 1 - j - k] += level.ss.take(pair)
-        p_new[n + 1 - 2 * k] += SC.take(u)
+    for j in range(1, k):
+        pair = block.syms[j - 1].take(rows_idx).astype(np.int16)
+        pair <<= 4
+        pair += selected
+        p_new[k - j] += _DD_FLAT.take(pair)
+        p_new[n + 1 - j - k] += level.ss.take(pair)
+    p_new[n + 1 - 2 * k] += SC.take(selected)
     keep = np.flatnonzero((np.abs(p_new[1:]) <= level.bound[:, None]).all(axis=0))
     if not len(keep):
         return None
     if len(keep) < len(rows_idx):
         rows_idx, plain, alt = rows_idx[keep], plain[keep], alt[keep]
         p_new = p_new.take(keep, axis=1)
-        selected = [u[keep] for u in selected]
+        selected = selected[keep]
 
     # Materialise the survivors: symbol prefixes and prefix states.
-    syms_new = [
-        np.concatenate([block.syms[t].take(rows_idx, axis=1), selected[t][None]])
-        for t in range(len(tracks))
-    ]
-    fst_new = np.stack(
-        [track.trans[block.fst[t].take(rows_idx), selected[t]] for t, track in enumerate(tracks)]
-    )
+    syms_new = np.concatenate([block.syms.take(rows_idx, axis=1), selected[None]])
+    fst_new = track.trans[block.fst.take(rows_idx), selected]
     origin = None if block.origin is None else block.origin.take(rows_idx)
     return _Block(p_new, syms_new, fst_new, plain, alt, origin)
 
@@ -524,12 +496,12 @@ def _sweep(block: _Block, n: int, k: int, track: TrackSpec, level: _Level) -> _B
     (allow, or central for the central column) whose plain and alternating
     sums of A can both still reach the a of some row-sum solution.  The
     states hold no correlations (p has no rows).  level is the column's
-    _levels(n, (track,), a values) entry."""
-    units = level.units[0]
+    _levels(n, track, a values, rows=1) entry."""
+    units = level.units
     admit = track.central[:, units // 5] if 2 * k > n else track.allow[:, units]
     plain = block.plain[:, None] + level.plain  # (states, quads)
     alt = block.alt[:, None] + level.alt
-    keep = admit.take(block.fst[0], axis=0)
+    keep = admit.take(block.fst, axis=0)
     keep &= level.reach.take(plain)
     keep &= level.reach.take(alt)
     keep = np.flatnonzero(keep)
@@ -539,8 +511,8 @@ def _sweep(block: _Block, n: int, k: int, track: TrackSpec, level: _Level) -> _B
     quads = units.take(quads)
     return _Block(
         np.empty((0, len(keep)), dtype=np.int16),
-        [np.concatenate([block.syms[0].take(rows_idx, axis=1), quads[None]])],
-        track.trans[block.fst[0].take(rows_idx), quads][None],
+        np.concatenate([block.syms.take(rows_idx, axis=1), quads[None]]),
+        track.trans[block.fst.take(rows_idx), quads],
         plain.take(keep),
         alt.take(keep),
         None,
@@ -607,15 +579,15 @@ def _sweep_and_place(n: int, tracks, shard: tuple[int, int]) -> dict:
     completed A must pass the power test (_psd_keep); and the surviving
     A's, in batches of at least CHUNK (or what is left at the end), are
     the root states of the search of the (C;D) track, each with p = 2 N_A
-    and A's row sums, completed by _expand on _levels(n, (cd,), solutions).
+    and A's row sums, completed by _expand on _levels(n, cd, solutions).
     Every test on A is necessary and the two prefix machines are
     independent, so the leaves are exactly those of the joint search of
     both tracks, in another order."""
     aa, cd = tracks
     m = n // 2
-    solutions = _solutions(n, tracks)
-    sweep_levels = _levels(n, (aa,), np.unique(solutions[:, :1], axis=0))
-    place_levels = _levels(n, (cd,), solutions)
+    solutions = _solutions(n, (2, 1, 1))
+    sweep_levels = _levels(n, aa, np.unique(solutions[:, :1], axis=0), rows=1)
+    place_levels = _levels(n, cd, solutions)
     tables = _psd_tables(n)
     strides = _row_strides(n, solutions.shape[1])
     open_rows = n * int(strides[1:].sum())
@@ -626,7 +598,7 @@ def _sweep_and_place(n: int, tracks, shard: tuple[int, int]) -> dict:
     def place() -> None:
         nonlocal waiting
         waiting = 0
-        a_syms = np.concatenate([b.syms[0] for b in held], axis=1)
+        a_syms = np.concatenate([b.syms for b in held], axis=1)
         plain = np.concatenate([b.plain for b in held]) * strides[0] + open_rows
         alt = np.concatenate([b.alt for b in held]) * strides[0] + open_rows
         held.clear()
@@ -637,16 +609,16 @@ def _sweep_and_place(n: int, tracks, shard: tuple[int, int]) -> dict:
             p[i] = 2 * (a[:-i] * a[i:]).sum(axis=0, dtype=np.int16)
         root = _Block(
             p,
-            [np.zeros((0, count), dtype=np.int8)],
-            np.zeros((1, count), dtype=np.int8),
+            np.zeros((0, count), dtype=np.int8),
+            np.zeros(count, dtype=np.int8),
             plain,
             alt,
             np.arange(count, dtype=np.int32),
         )
         _descend(
             root, 0, n - m,
-            lambda block, k: _expand(block, n, k, (cd,), place_levels[k]),
-            lambda block: leaves.append({"syms": [a_syms.take(block.origin, axis=1).T, block.syms[0].T]}),
+            lambda block, k: _expand(block, n, k, cd, place_levels[k]),
+            lambda block: leaves.append({"syms": [a_syms.take(block.origin, axis=1).T, block.syms.T]}),
         )
 
     def admit(block: _Block) -> None:
@@ -655,7 +627,7 @@ def _sweep_and_place(n: int, tracks, shard: tuple[int, int]) -> dict:
         nonlocal waiting
         for lo in range(0, len(block), CHUNK):
             part = block.take(slice(lo, lo + CHUNK))
-            keep = _psd_keep(_spell(part.syms[0], n, TOP_LEFT, TOP_RIGHT, PSD_FLOAT), n, tables)
+            keep = _psd_keep(_spell(part.syms, n, TOP_LEFT, TOP_RIGHT, PSD_FLOAT), n, tables)
             if len(keep):
                 held.append(part.take(keep))
                 waiting += len(keep)
@@ -663,7 +635,7 @@ def _sweep_and_place(n: int, tracks, shard: tuple[int, int]) -> dict:
             place()
 
     _descend(
-        _root(n, (aa,)), 0, n - m,
+        _root(n, 1), 0, n - m,
         lambda block, k: _sweep(block, n, k, aa, sweep_levels[k]),
         admit, shard, min(3, m),
     )
@@ -673,29 +645,30 @@ def _sweep_and_place(n: int, tracks, shard: tuple[int, int]) -> dict:
 
 
 def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
-    """Enumerate every completed assignment of the tracks.  Returns
-    {"syms": per track, one row of n - n//2 raw quads per leaf}, the
+    """Enumerate every solution of the search the tracks define: NS(n)
+    for ns_tracks, Golay pairs for golay_tracks.  Returns {"syms": per
+    sequence pair of a leaf, one row of n - n//2 raw quads per leaf}, the
     central (odd n) as the last quad.
 
-    When the first track repeats one sequence (NS), that sequence is
-    swept first and the other track placed on each survivor
-    (_sweep_and_place); otherwise (Golay) the tracks are placed together,
-    column by column, by _descend over the levels of _levels.  shard=(i, w)
-    keeps every w-th state of the frontier after level 3 (level n//2 when
-    that is shallower) of the sweep, or of the search, so the w shards
-    i = 0..w-1 partition it.
+    Each search places one track.  NS passes two, (A;A) and (C;D): A is
+    swept first and (C;D) placed on each survivor (_sweep_and_place).
+    Golay passes one, placed column by column by _descend over the levels
+    of _levels.  shard=(i, w) keeps every w-th state of the frontier after
+    level 3 (level n//2 when that is shallower) of the sweep, or of the
+    search, so the w shards i = 0..w-1 partition it.
     """
-    if tracks[0].pair_rows == 1:
+    if len(tracks) == 2:
         return _sweep_and_place(n, tracks, shard)
+    (track,) = tracks
     m = n // 2
-    levels = _levels(n, tracks)
+    levels = _levels(n, track, _solutions(n, (1, 1)))
     leaves: list[dict] = []
     # bounds[n - m] is identically zero, so the last level's survivors
     # satisfy every equation; they are the leaves.
     _descend(
-        _root(n, tracks), 0, n - m,
-        lambda block, k: _expand(block, n, k, tracks, levels[k]),
-        lambda block: leaves.append({"syms": [s.T for s in block.syms]}),
+        _root(n, 2), 0, n - m,
+        lambda block, k: _expand(block, n, k, track, levels[k]),
+        lambda block: leaves.append({"syms": [block.syms.T]}),
         shard, min(3, m),
     )
     return _merge_leaves(leaves, tracks, n)
@@ -727,8 +700,8 @@ def _spell(syms: np.ndarray, n: int, left, right, dtype=np.int8) -> np.ndarray:
 
 
 def _sign_rows(leaves: dict, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per track, the top and bottom +1/-1 rows its leaves spell, one row
-    per leaf: shape (leaves, n)."""
+    """Per sequence pair of the leaves, its top and bottom +1/-1 rows, one
+    row per leaf: shape (leaves, n)."""
     return [
         tuple(
             np.ascontiguousarray(_spell(syms.T, n, left, right).T)

@@ -1,19 +1,26 @@
 """Engine internals: the raw quad ids against the code labels, the
-row-sum solutions derived from the tracks against hand-written solvers
+row-sum solutions of each search's weights against hand-written solvers
 of the square identities, the row-sum reach tables against a direct
 broadcast of their predicate, the correlation bounds against a count of
 the undetermined products, the per-level frontier sizes of the joint
 search and of the A sweep and (C;D) placement, the A-first NS search and
 the chunked depth-first traversal against the joint search of both
-tracks (level-synchronous, or the same chunked descent), the shift-major
-kernel against the row-major one it replaced, the track tables against
-the symbol scans they replaced, the central column held as a quad, its
-level of the kernel against a loop over the central combinations, and
-the power test against the bundled representatives and its float error
-bound."""
+tracks (level-synchronous, or the same chunked descent), the one-track
+shift-major kernel against the row-major one it replaced, the track
+tables against the symbol scans they replaced, the central column held
+as a quad, its level of the kernel against a loop over the central
+combinations, and the power test against the bundled representatives and
+its float error bound.
+
+The library places one track per search.  The joint search of NS, both
+tracks placed together column by column, lives here as the oracle of the
+A-first search: joint_levels, the row-major expand_oracle and
+central_leaves_oracle, driven level by level (level_search) or by the
+library's chunked descent (joint_search)."""
 
 import itertools
 import tracemalloc
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
@@ -109,10 +116,11 @@ def golay_solutions(n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_solutions_follow_from_the_tracks(n):
-    # The repeated pair is one row of weight 2, the other pairs two rows
-    # of weight 1: the derived solutions are the hand-solved identities.
-    for tracks, solver in ((ns_tracks, ns_solutions), (golay_tracks, golay_solutions)):
-        derived = _solutions(n, tracks(n))
+    # The repeated pair (A;A) is one row of weight 2, the other pairs two
+    # rows of weight 1: NS weighs its rows A, C, D (2, 1, 1) and Golay its
+    # rows A, B (1, 1), and the solutions are the hand-solved identities.
+    for weights, solver in (((2, 1, 1), ns_solutions), ((1, 1), golay_solutions)):
+        derived = _solutions(n, weights)
         assert derived.dtype == np.int16
         assert sorted(map(tuple, derived.tolist())) == sorted(map(tuple, solver(n).tolist()))
 
@@ -190,15 +198,140 @@ def bounds_oracle(n: int, weight: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_bounds_match_product_count(n):
-    for weight in (2, 4):
-        bounds = _bounds(n, weight)
-        assert bounds.dtype == np.int16
-        assert np.array_equal(bounds, bounds_oracle(n, weight))
-        # Once every column is placed, every shift is determined.
-        assert not bounds[-1].any()
+    # A search places two open sequences; the joint search of NS places
+    # four (A twice, C and D), so its bounds are twice as wide.
+    bounds = _bounds(n)
+    assert bounds.dtype == np.int16
+    assert np.array_equal(bounds, bounds_oracle(n, 2))
+    assert np.array_equal(2 * bounds, bounds_oracle(n, 4))
+    # Once every column is placed, every shift is determined.
+    assert not bounds[-1].any()
 
 
-def central_leaves_oracle(block, n: int, tracks) -> dict:
+@dataclass
+class RowBlock:
+    """A block held row-major, one row per state: p is (states, n), syms
+    per track (states, pairs) and fst (states, tracks)."""
+
+    p: np.ndarray
+    syms: list[np.ndarray]
+    fst: np.ndarray
+    plain: np.ndarray
+    alt: np.ndarray
+
+    def take(self, idx) -> "RowBlock":
+        return RowBlock(
+            self.p[idx], [s[idx] for s in self.syms], self.fst[idx], self.plain[idx], self.alt[idx]
+        )
+
+    def __len__(self) -> int:
+        return len(self.p)
+
+
+def row_major(block) -> RowBlock:
+    """A library block of one track, as a row-major block of that track."""
+    return RowBlock(
+        np.ascontiguousarray(block.p.T),
+        [np.ascontiguousarray(block.syms.T)],
+        block.fst[:, None],
+        block.plain,
+        block.alt,
+    )
+
+
+class JointLevel(NamedTuple):
+    """The constants of placing pair k of every track at once: per track,
+    its quad in every combination of the tracks' quads, and per
+    combination the row-sum table offsets; the reach table and the
+    correlation bound of the level."""
+
+    units: list[np.ndarray]
+    plain: np.ndarray
+    alt: np.ndarray
+    reach: np.ndarray
+    bound: np.ndarray
+
+
+def joint_levels(n: int) -> list[JointLevel | None]:
+    """[None, level 1, ..., level n//2]: the pair levels of the joint
+    search of NS(n), (A;A) and (C;D) placed together, with the rows A, C
+    and D of weights (2, 1, 1) and the bounds of four sequences."""
+    aa, cd = ns_tracks(n)
+    solutions = _solutions(n, (2, 1, 1))
+    strides = _row_strides(n, 3)
+    bounds = 2 * _bounds(n)
+    # Every combination of an (A;A) quad and a (C;D) quad, (A;A) slowest.
+    units = [g.reshape(-1) for g in np.meshgrid(aa.alphabet, cd.alphabet, indexing="ij")]
+    rows = [
+        (TOP_LEFT[units[0]], TOP_RIGHT[units[0]]),
+        (TOP_LEFT[units[1]], TOP_RIGHT[units[1]]),
+        (BOT_LEFT[units[1]], BOT_RIGHT[units[1]]),
+    ]
+    levels: list[JointLevel | None] = [None]
+    for k in range(1, n // 2 + 1):
+        sign_left = 1 if k % 2 else -1          # position k
+        sign_right = 1 if (n - k) % 2 == 0 else -1  # position n+1-k
+        levels.append(JointLevel(
+            units,
+            np.stack([left + right for left, right in rows], axis=1) @ strides,
+            np.stack([sign_left * left + sign_right * right for left, right in rows], axis=1) @ strides,
+            _reach_table(n, solutions, n - 2 * k),
+            bounds[k][1:],
+        ))
+    return levels
+
+
+def expand_oracle(block: RowBlock, n: int, k: int, tracks, level: JointLevel) -> RowBlock | None:
+    """The row-major kernel the shift-major _expand replaced, for any
+    number of tracks placed together: the exact check as SS looked up
+    against pair 1 plus a separate allow mask per track, the survivors
+    taken by a 2-D nonzero, and the correlation update one strided column
+    per earlier pair.  It places pairs only, no central column."""
+    units = level.units
+    if k == 1:
+        delta = sum(SC[u] for u in units)[None, :]
+    else:
+        delta = sum(SS[:, u][block.syms[t][:, 0]] for t, u in enumerate(units))
+    mask = block.p[:, n - k][:, None] + delta == 0
+    for t, track in enumerate(tracks):
+        mask &= track.allow[:, units[t]][block.fst[:, t]]
+    rows_idx, combo_idx = np.nonzero(mask)
+
+    plain = block.plain[rows_idx] + level.plain[combo_idx]
+    alt = block.alt[rows_idx] + level.alt[combo_idx]
+    keep = np.nonzero(level.reach[plain] & level.reach[alt])[0]
+    if not len(keep):
+        return None
+    rows_idx, combo_idx = rows_idx[keep], combo_idx[keep]
+    plain, alt = plain[keep], alt[keep]
+
+    selected = [u[combo_idx] for u in units]
+    p_new = block.p[rows_idx]
+    for t in range(len(tracks)):
+        u = selected[t]
+        for j in range(1, k):
+            pair = 16 * block.syms[t][rows_idx, j - 1].astype(np.intp) + u
+            p_new[:, k - j] += _DD_FLAT[pair]
+            p_new[:, n + 1 - j - k] += _SS_FLAT[pair]
+        p_new[:, n + 1 - 2 * k] += SC[u]
+    keep = np.nonzero((np.abs(p_new[:, 1:]) <= level.bound).all(axis=1))[0]
+    if not len(keep):
+        return None
+    rows_idx, p_new, plain, alt = rows_idx[keep], p_new[keep], plain[keep], alt[keep]
+    selected = [u[keep] for u in selected]
+
+    syms_new = [
+        np.concatenate([block.syms[t][rows_idx], selected[t][:, None]], axis=1)
+        for t in range(len(tracks))
+    ]
+    fst_new = np.stack(
+        [track.trans[block.fst[rows_idx, t], selected[t]] for t, track in enumerate(tracks)],
+        axis=1,
+    )
+    return RowBlock(p_new, syms_new, fst_new, plain, alt)
+
+
+def central_leaves_oracle(block: RowBlock, n: int, tracks) -> dict:
     """The central-column step one combination at a time: for each
     (z_1..z_T), keep the states whose prefix states admit it and whose
     whole correlation table vanishes once it is placed."""
@@ -207,55 +340,87 @@ def central_leaves_oracle(block, n: int, tracks) -> dict:
     for zs in itertools.product(range(4), repeat=len(tracks)):
         admitted = np.ones(len(block), dtype=bool)
         for t, track in enumerate(tracks):
-            admitted &= track.central[block.fst[t], zs[t]]
+            admitted &= track.central[block.fst[:, t], zs[t]]
         idx = np.nonzero(admitted)[0]
-        p_c = block.p[:, idx]
+        p_c = block.p[idx]
         for t in range(len(tracks)):
             for j in range(1, m + 1):
-                p_c[m + 1 - j] += DD[block.syms[t][j - 1, idx], 5 * zs[t]]
-        idx = idx[(p_c[1:] == 0).all(axis=0)]
-        syms = [np.insert(block.syms[t][:, idx].T, m, 5 * z, axis=1) for t, z in enumerate(zs)]
+                p_c[:, m + 1 - j] += DD[block.syms[t][idx, j - 1], 5 * zs[t]]
+        idx = idx[(p_c[:, 1:] == 0).all(axis=1)]
+        syms = [np.insert(block.syms[t][idx], m, 5 * z, axis=1) for t, z in enumerate(zs)]
         parts.append({"syms": syms})
     return _merge_leaves(parts, tracks, n)
 
 
-def level_search(n: int, tracks, chunk: int = 1 << 15):
+def pair_complete_leaves(block: RowBlock, n: int, tracks) -> dict:
+    """The leaves below a block with every pair placed: the block itself
+    for even n, whose last bounds are zero; for odd n, the states that
+    take a central column (central_leaves_oracle)."""
+    if n % 2:
+        return central_leaves_oracle(block, n, tracks)
+    return {"syms": list(block.syms)}
+
+
+def joint_kernel(n: int):
+    """The joint search of NS(n) as (root, expand, finish): the row-major
+    root with nothing placed, expand_oracle over joint_levels, and the
+    leaves of a pair-complete block."""
+    tracks = ns_tracks(n)
+    levels = joint_levels(n)
+    zero_sums = np.array([n * int(_row_strides(n, 3).sum())], dtype=np.int32)
+    root = RowBlock(
+        np.zeros((1, n), dtype=np.int16),
+        [np.zeros((1, 0), dtype=np.int8)] * 2,
+        np.zeros((1, 2), dtype=np.int8),
+        zero_sums,
+        zero_sums.copy(),
+    )
+    return (
+        root,
+        lambda block, k: expand_oracle(block, n, k, tracks, levels[k]),
+        lambda block: pair_complete_leaves(block, n, tracks),
+    )
+
+
+def golay_kernel(n: int):
+    """The Golay search as (root, expand, finish): the library's _expand
+    on its pair levels, then the central of odd n by
+    central_leaves_oracle."""
+    (track,) = golay_tracks(n)
+    levels = _levels(n, track, _solutions(n, (1, 1)))
+    return (
+        _root(n, 2),
+        lambda block, k: _expand(block, n, k, track, levels[k]),
+        lambda block: pair_complete_leaves(row_major(block), n, (track,)),
+    )
+
+
+def level_search(n: int, root, expand, finish, chunk: int = 1 << 15):
     """The level-synchronous search: expand a whole level, chunk by chunk,
     before starting the next.  Returns the states left after each level
-    k = 1..n//2 and the merged leaves."""
-    levels = _levels(n, tracks)
-    blocks = [_root(n, tracks)]
+    k = 1..n//2 and the leaves below each block of the last."""
+    blocks = [root]
     sizes = []
     for k in range(1, n // 2 + 1):
         nxt = []
         for block in blocks:
             for lo in range(0, len(block), chunk):
-                out = _expand(block.take(slice(lo, lo + chunk)), n, k, tracks, levels[k])
+                out = expand(block.take(slice(lo, lo + chunk)), k)
                 if out is not None:
                     nxt.append(out)
         blocks = nxt
         sizes.append(sum(len(b) for b in blocks))
-    if n % 2:
-        parts = [central_leaves_oracle(block, n, tracks) for block in blocks]
-    else:
-        parts = [{"syms": [s.T for s in block.syms]} for block in blocks]
-    return sizes, _merge_leaves(parts, tracks, n)
+    return sizes, [finish(block) for block in blocks]
 
 
-def joint_search(n: int, tracks, shard=(0, 1)) -> dict:
-    """Every track placed together, column by column, in the chunked
-    recursive descent: the joint search of NS, the oracle of the A-first
-    search."""
-    m = n // 2
-    levels = _levels(n, tracks)
+def joint_search(n: int) -> dict:
+    """Both tracks of NS(n) placed together, column by column, in the
+    library's chunked recursive descent: the joint search, the oracle of
+    the A-first search."""
+    root, expand, finish = joint_kernel(n)
     leaves = []
-    _descend(
-        _root(n, tracks), 0, n - m,
-        lambda block, k: _engine._expand(block, n, k, tracks, levels[k]),
-        lambda block: leaves.append({"syms": [s.T for s in block.syms]}),
-        shard, min(3, m),
-    )
-    return _merge_leaves(leaves, tracks, n)
+    _descend(root, 0, n // 2, expand, lambda block: leaves.append(finish(block)))
+    return _merge_leaves(leaves, ns_tracks(n), n)
 
 
 def leaf_rows(leaves: dict) -> list[tuple]:
@@ -265,6 +430,7 @@ def leaf_rows(leaves: dict) -> list[tuple]:
 
 
 SEARCHES = {"ns": ns_tracks, "golay": golay_tracks}
+KERNELS = {"ns": joint_kernel, "golay": golay_kernel}
 
 
 def search_inputs(kind: str, n: int):
@@ -273,12 +439,16 @@ def search_inputs(kind: str, n: int):
 
 @lru_cache(maxsize=None)
 def oracle(kind: str, n: int) -> tuple[list[int], list[tuple]]:
-    sizes, leaves = level_search(n, search_inputs(kind, n))
-    return sizes, leaf_rows(leaves)
+    """The level-synchronous search: the joint search for NS, the
+    library's kernel for Golay."""
+    sizes, parts = level_search(n, *KERNELS[kind](n))
+    return sizes, leaf_rows(_merge_leaves(parts, search_inputs(kind, n), n))
 
 
 # Recorded from the broadcast-predicate engine that preceded the reach
-# tables.  Any change that prunes less, or more, moves one of these.
+# tables.  Any change that prunes less, or more, moves one of these.  The
+# NS rows pin the joint search of this module (joint_levels and
+# expand_oracle), the Golay rows the library's _expand.
 GOLDEN_FRONTIERS = {
     ("ns", 16): [1, 4, 23, 153, 1100, 7424, 8192, 52],
     ("ns", 17): [2, 6, 28, 182, 1190, 8130, 46117, 16484],
@@ -317,16 +487,17 @@ def test_a_first_matches_joint_search_past_20(n):
     # Past n = 20 the level-synchronous oracle holds too much at once; the
     # joint chunked descent is the oracle, serially and in 8 shards.
     tracks = ns_tracks(n)
-    want = leaf_rows(joint_search(n, tracks))
+    want = leaf_rows(joint_search(n))
     assert leaf_rows(run_search(n, tracks)) == want
     parts = [run_search(n, tracks, shard=(i, 8)) for i in range(8)]
     assert leaf_rows(_merge_leaves(parts, tracks, n)) == want
 
 
 def test_joint_search_matches_level_synchronous_oracle():
+    # The same kernel in the two traversals.  Golay has no joint search:
+    # its library descent is checked against the oracle above.
     for n in range(1, 21):
-        for kind in SEARCHES:
-            assert leaf_rows(joint_search(n, search_inputs(kind, n))) == oracle(kind, n)[1]
+        assert leaf_rows(joint_search(n)) == oracle("ns", n)[1]
 
 
 def a_first_frontiers(monkeypatch, n: int):
@@ -423,122 +594,66 @@ def test_traversal_is_chunked_and_deepest_first(monkeypatch):
     assert max(seen[_sweep][0]) == max(seen[_expand][0]) == CHUNK
 
 
-class RowBlock(NamedTuple):
-    """A block held row-major, one row per state: p is (states, n), syms
-    per track (states, pairs) and fst (states, tracks)."""
-
-    p: np.ndarray
-    syms: list[np.ndarray]
-    fst: np.ndarray
-    plain: np.ndarray
-    alt: np.ndarray
-
-
-def row_major(block) -> RowBlock:
-    return RowBlock(
-        np.ascontiguousarray(block.p.T),
-        [np.ascontiguousarray(s.T) for s in block.syms],
-        np.ascontiguousarray(block.fst.T),
-        block.plain,
-        block.alt,
-    )
-
-
-def expand_oracle(block: RowBlock, n: int, k: int, tracks, level) -> RowBlock | None:
-    """The row-major kernel the shift-major _expand replaced: the exact
-    check as SS looked up against pair 1 plus a separate allow mask per
-    track, the survivors taken by a 2-D nonzero, and the correlation
-    update one strided column per earlier pair."""
-    units = level.units
-    if k == 1:
-        delta = sum(SC[u] for u in units)[None, :]
-    else:
-        delta = sum(SS[:, u][block.syms[t][:, 0]] for t, u in enumerate(units))
-    mask = block.p[:, n - k][:, None] + delta == 0
-    for t, track in enumerate(tracks):
-        mask &= track.allow[:, units[t]][block.fst[:, t]]
-    rows_idx, combo_idx = np.nonzero(mask)
-
-    plain = block.plain[rows_idx] + level.plain[combo_idx]
-    alt = block.alt[rows_idx] + level.alt[combo_idx]
-    keep = np.nonzero(level.reach[plain] & level.reach[alt])[0]
-    if not len(keep):
-        return None
-    rows_idx, combo_idx = rows_idx[keep], combo_idx[keep]
-    plain, alt = plain[keep], alt[keep]
-
-    selected = [u[combo_idx] for u in units]
-    p_new = block.p[rows_idx]
-    for t in range(len(tracks)):
-        u = selected[t]
-        for j in range(1, k):
-            pair = 16 * block.syms[t][rows_idx, j - 1].astype(np.intp) + u
-            p_new[:, k - j] += _DD_FLAT[pair]
-            p_new[:, n + 1 - j - k] += _SS_FLAT[pair]
-        p_new[:, n + 1 - 2 * k] += SC[u]
-    keep = np.nonzero((np.abs(p_new[:, 1:]) <= level.bound).all(axis=1))[0]
-    if not len(keep):
-        return None
-    rows_idx, p_new, plain, alt = rows_idx[keep], p_new[keep], plain[keep], alt[keep]
-    selected = [u[keep] for u in selected]
-
-    syms_new = [
-        np.concatenate([block.syms[t][rows_idx], selected[t][:, None]], axis=1)
-        for t in range(len(tracks))
-    ]
-    fst_new = np.stack(
-        [track.trans[block.fst[rows_idx, t], selected[t]] for t, track in enumerate(tracks)],
-        axis=1,
-    )
-    return RowBlock(p_new, syms_new, fst_new, plain, alt)
-
-
 @pytest.mark.parametrize("n", range(1, 21))
 @pytest.mark.parametrize("kind", sorted(SEARCHES))
 def test_shift_major_kernel_matches_row_major_oracle(monkeypatch, kind, n):
-    # Every chunk of a pair level the search expands, through both
-    # kernels: the same survivors in the same order, each array the
-    # other's transpose.  The row-major kernel had no central level.
+    # Every chunk of a pair level the search expands (NS: the placement of
+    # (C;D) on swept A's), through both kernels, its one track as a
+    # 1-tuple of tracks: the same survivors in the same order, each array
+    # the other's transpose.  The row-major kernel had no central level.
     expanded = []
 
-    def spy(block, n_, k, tracks, level):
-        got = _expand(block, n_, k, tracks, level)
+    def spy(block, n_, k, track, level):
+        got = _expand(block, n_, k, track, level)
         if 2 * k > n_:
             return got
-        want = expand_oracle(row_major(block), n_, k, tracks, level)
+        joint = JointLevel([level.units], level.plain, level.alt, level.reach, level.bound)
+        want = expand_oracle(row_major(block), n_, k, (track,), joint)
         assert (got is None) == (want is None), k
         if got is not None:
-            for name, a, b in zip(RowBlock._fields, row_major(got), want):
-                for x, y in zip(a, b) if name == "syms" else [(a, b)]:
-                    assert x.dtype == y.dtype and np.array_equal(x, y), (k, name)
+            for field in fields(RowBlock):
+                a, b = getattr(row_major(got), field.name), getattr(want, field.name)
+                for x, y in zip(a, b) if field.name == "syms" else [(a, b)]:
+                    assert x.dtype == y.dtype and np.array_equal(x, y), (k, field.name)
         expanded.append(k)
         return got
 
     monkeypatch.setattr(_engine, "_expand", spy)
-    tracks = search_inputs(kind, n)
-    run_search(n, tracks)  # NS: the placement of (C;D) on swept A's
-    if kind == "ns":
-        joint_search(n, tracks)
-    assert expanded or n == 1  # n = 1 has no pair to place
+    run_search(n, search_inputs(kind, n))
+    # n = 1 has no pair to place, and no A of length 6 or 14 passes the
+    # sweep and the power test.
+    assert expanded or n == 1 or (kind, n) in (("ns", 6), ("ns", 14))
+
+
+def library_levels(n: int):
+    """(track, its levels) for each level list a library search builds:
+    the A sweep and the (C;D) placement of NS(n), and the Golay search."""
+    aa, cd = ns_tracks(n)
+    (golay,) = golay_tracks(n)
+    ns = _solutions(n, (2, 1, 1))
+    return [
+        (aa, _levels(n, aa, np.unique(ns[:, :1], axis=0), rows=1)),
+        (cd, _levels(n, cd, ns)),
+        (golay, _levels(n, golay, _solutions(n, (1, 1)))),
+    ]
 
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_forbidden_gate_value_cannot_cancel(n):
-    # A gathered gate row sums one term per track with the correlation
-    # before pair k.  An allowed term is an SS or SC value, and the
-    # correlation is within the level's bound, so _FORBIDDEN must exceed
-    # all of them together; T of them at once must still fit int16.
-    term = int(max(np.abs(SS).max(), np.abs(SC).max()))
-    for tracks in (ns_tracks(n), golay_tracks(n)):
-        bound = int(_bounds(n, 2 * len(tracks)).max())
-        assert _FORBIDDEN > len(tracks) * term + bound
-        assert len(tracks) * _FORBIDDEN + bound <= np.iinfo(np.int16).max
-        if n <= 12:
-            for level in _levels(n, tracks)[1:]:
-                for gate in level.gate:
-                    assert gate.dtype == np.int16
-                    allowed = set(range(-term, term + 1)) | {_FORBIDDEN}
-                    assert set(np.unique(gate).tolist()) <= allowed
+    # A gathered gate entry is added to the correlation before pair k.
+    # An allowed entry is an SS or SC value, and the correlation is within
+    # the level's bound (A's share included: 2|N_A| is within the bound
+    # of C and D with nothing placed), so _FORBIDDEN must exceed both
+    # together, and _FORBIDDEN plus the bound must still fit int16.
+    bound = int(_bounds(n).max())
+    assert _FORBIDDEN > int(np.abs(SS).max()) + bound
+    assert _FORBIDDEN > int(np.abs(SC).max()) + bound
+    assert _FORBIDDEN + bound <= np.iinfo(np.int16).max
+    allowed = set(SS.ravel().tolist()) | set(SC.tolist()) | {_FORBIDDEN}
+    for _, levels in library_levels(n):
+        for level in levels[1:]:
+            assert level.gate.dtype == np.int16 and level.gate.ndim == 2
+            assert set(np.unique(level.gate).tolist()) <= allowed
 
 
 # Ceilings of 1.1x the tracemalloc peaks of run_search(n, ...), on 2 cores
@@ -588,15 +703,15 @@ def test_level_setup_is_built_once_per_level(monkeypatch):
     # with that phase's one level k object.
     built, expanded = [], {_sweep: [], _expand: []}
 
-    def levels_spy(n, tracks, *args):
-        built.append(_levels(n, tracks, *args))
+    def levels_spy(n, track, *args, **kwargs):
+        built.append(_levels(n, track, *args, **kwargs))
         return built[-1]
 
     def spy(fn):
-        def expand_spy(block, n, k, tracks, level):
+        def expand_spy(block, n, k, track, level):
             assert level is built[-1 if fn is _expand else 0][k]
             expanded[fn].append(k)
-            return fn(block, n, k, tracks, level)
+            return fn(block, n, k, track, level)
         return expand_spy
 
     monkeypatch.setattr(_engine, "_levels", levels_spy)
@@ -614,21 +729,21 @@ def test_level_setup_is_built_once_per_level(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 23))
 def test_one_level_per_column(n):
-    # Every column is one level of the kernel: the n//2 pairs, then for
-    # odd n the central, whose quads are 5*z for the admissible z and
-    # whose crossed products are its DD products (no SS update).
-    for tracks in (ns_tracks(n), golay_tracks(n)):
-        levels = _levels(n, tracks)
+    # Every column is one level of the kernel: the n//2 pairs, each
+    # taking the track's alphabet, then for odd n the central, whose quads
+    # are 5*z for each admissible z and whose crossed products are its DD
+    # products (no SS update).
+    for track, levels in library_levels(n):
         assert len(levels) == n - n // 2 + 1
         for level in levels[1:n // 2 + 1]:
             assert level.ss is _SS_FLAT
+            assert np.array_equal(level.units, track.alphabet)
         if n % 2:
             central = levels[-1]
             assert not central.ss.any()
-            for track, units in zip(tracks, central.units):
-                admitted = set(5 * np.flatnonzero(track.central.any(axis=0)))
-                assert units.dtype == np.int8
-                assert set(units.tolist()) == admitted
+            assert central.units.dtype == np.int8
+            admitted = 5 * np.flatnonzero(track.central.any(axis=0))
+            assert central.units.tolist() == admitted.tolist()
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -679,59 +794,60 @@ def cd_central_oracle(syms: np.ndarray, z: int) -> np.ndarray:
 def test_central_table_matches_symbol_scan(monkeypatch, n):
     # Every state that reaches the central level, in the A sweep, the
     # placement of (C;D) and the joint search, looked up in the table by
-    # its prefix state and scanned by its quads, for each central.
+    # its prefix state and scanned by its quads, for each central.  Each
+    # block is held as (track ids, per track its prefix states and its
+    # quads row-major).
     oracles = {0: aa_central_oracle, 1: cd_central_oracle}
     tracks = search_inputs("ns", n)
-    blocks = []
+    placed, joint = [], []
 
     def spy(fn):
-        def central_spy(block, n_, k, placed, level):
+        def central_spy(block, n_, k, track, level):
             if 2 * k > n_:
-                ids = placed if fn is _expand else (placed,)
-                blocks.append(([i for p in ids for i, t in enumerate(tracks) if t is p], block))
-            return fn(block, n_, k, placed, level)
+                (t,) = [i for i, known in enumerate(tracks) if known is track]
+                placed.append(((t,), [block.fst], [block.syms.T]))
+            return fn(block, n_, k, track, level)
         return central_spy
 
     monkeypatch.setattr(_engine, "_sweep", spy(_sweep))
     monkeypatch.setattr(_engine, "_expand", spy(_expand))
     run_search(n, tracks)
-    joint_search(n, tracks)
-    assert {tuple(ids) for ids, _ in blocks} == {(0,), (1,), (0, 1)} or n == 17
-    for ids, block in blocks:
+    root, expand, _ = joint_kernel(n)
+    _descend(root, 0, n // 2, expand, lambda b: joint.append(((0, 1), list(b.fst.T), b.syms)))
+    assert {ids for ids, _, _ in placed} == {(0,), (1,)}
+    assert {ids for ids, _, _ in joint} == {(0, 1)}
+    for ids, fst, syms in placed + joint:
         for row, t in enumerate(ids):
             for z in range(4):
-                table = tracks[t].central[block.fst[row], z]
-                assert np.array_equal(table, oracles[t](block.syms[row].T, z)), (t, z)
+                table = tracks[t].central[fst[row], z]
+                assert np.array_equal(table, oracles[t](syms[row], z)), (t, z)
 
 
 @pytest.mark.parametrize("n", range(1, 22, 2))
 @pytest.mark.parametrize("kind", sorted(SEARCHES))
 def test_central_broadcast_matches_per_combination_oracle(monkeypatch, kind, n):
     # Every block that reaches the central level, through the kernel,
-    # which tries every central combination at once, and through the loop
-    # over them.
-    tracks = search_inputs(kind, n)
+    # which tries every central of the track at once, and through the
+    # loop over them.
     steps = []
 
-    def spy(block, n_, k, tracks_, level):
-        got = _expand(block, n_, k, tracks_, level)
+    def spy(block, n_, k, track, level):
+        got = _expand(block, n_, k, track, level)
         if 2 * k > n_:
-            steps.append((tracks_, block, got))
+            steps.append((track, block, got))
         return got
 
     monkeypatch.setattr(_engine, "_expand", spy)
-    run_search(n, tracks)  # NS: the central of (C;D), A complete
-    if kind == "ns":
-        joint_search(n, tracks)
+    run_search(n, search_inputs(kind, n))  # NS: the central of (C;D), A complete
     # Odd Golay lengths above 1 have no row-sum solution, so no state
     # gets past pair 1.
     assert steps or (kind == "golay" and n > 1)
-    for tracks_, block, got in steps:
-        syms = [] if got is None else [{"syms": [s.T for s in got.syms]}]
-        assert leaf_rows(_merge_leaves(syms, tracks_, n)) == leaf_rows(
-            central_leaves_oracle(block, n, tracks_)
+    for track, block, got in steps:
+        syms = [] if got is None else [{"syms": [got.syms.T]}]
+        assert leaf_rows(_merge_leaves(syms, (track,), n)) == leaf_rows(
+            central_leaves_oracle(row_major(block), n, (track,))
         )
-        assert got is None or all(s.dtype == np.int8 for s in got.syms)
+        assert got is None or got.syms.dtype == np.int8
 
 
 @pytest.mark.parametrize("n", range(1, 20, 2))
@@ -752,19 +868,19 @@ def sweep_one(n: int, a: tuple[int, ...]):
     the state that places A's own quad; None where a level drops it.
     Returns A's column of signs, spelled from the quads kept."""
     aa = ns_tracks(n)[0]
-    a_values = np.unique(_solutions(n, ns_tracks(n))[:, :1], axis=0)
-    levels = _levels(n, (aa,), a_values)
+    a_values = np.unique(_solutions(n, (2, 1, 1))[:, :1], axis=0)
+    levels = _levels(n, aa, a_values, rows=1)
     # Pair k holds A's positions k and n+1-k; the central is both.
     column = [0 if v > 0 else 3 for v in a]
     quads = [4 * column[k] + column[n - 1 - k] for k in range(n // 2)]
     quads += [5 * column[n // 2]] * (n % 2)
-    block = _root(n, (aa,))
+    block = _root(n, 1)
     for k, quad in enumerate(quads, start=1):
         out = _sweep(block, n, k, aa, levels[k])
-        if out is None or quad not in out.syms[0][k - 1]:
+        if out is None or quad not in out.syms[k - 1]:
             return None
-        block = out.take(np.flatnonzero(out.syms[0][k - 1] == quad))
-    return _spell(block.syms[0], n, TOP_LEFT, TOP_RIGHT)
+        block = out.take(np.flatnonzero(out.syms[k - 1] == quad))
+    return _spell(block.syms, n, TOP_LEFT, TOP_RIGHT)
 
 
 def canonical_representatives():
