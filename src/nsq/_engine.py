@@ -6,8 +6,12 @@ positions k and n+1-k of a pair of sequences, or track, as one quad (see
 TrackSpec for how a track carries the canonical-form conditions), and for
 odd n the last level fixes the central column.
 
-The Golay search places its one track level by level.  The NS search
-(A;A;C;D) goes A first (_sweep_and_place):
+The Golay search places its one track level by level, on one member of
+each orbit of pairs under negating A, negating B and swapping A with B:
+its track admits a single quad at pair 1 (golay_tracks), and run_search
+unfolds each leaf into the other 7 members of its orbit, so it still
+returns every ordered pair.  The NS search (A;A;C;D) goes A first
+(_sweep_and_place):
 
 1. the sweep: A alone, through the (A;A) track's prefix tables, with its
    plain and alternating sums still able to reach the a of some row-sum
@@ -201,13 +205,44 @@ def ns_tracks(n: int) -> tuple[TrackSpec, TrackSpec]:
     return aa, cd
 
 
+def _golay_map(negate: int, swap: bool) -> np.ndarray:
+    """One map of the Golay orbit group as a 16-entry raw-id table: on a
+    column state s (top sign = bit 2, bottom = bit 1), negating A is s ^ 2,
+    negating B is s ^ 1, and swapping A with B exchanges the two bits.
+    Built from Python ints: numpy's shift and xor, run at import, added
+    about 0.1 MB to the peak RSS of every command that loads the engine
+    (measured: `nsq search --n 19 --threads 2` on 2 cores)."""
+    column = [(s >> 1 | (s & 1) << 1 if swap else s) ^ negate for s in range(4)]
+    return np.array([4 * column[raw // 4] + column[raw % 4] for raw in range(16)], dtype=np.int8)
+
+
+# The group G = {(+-A, +-B), (+-B, +-A)}: the four negations, the identity
+# first, then the four negations of the swap.  The swap fixes the one
+# central column (+, +) of n = 1, so there only the first four differ.
+_GOLAY_ORBIT = tuple(_golay_map(negate, swap) for swap in (False, True) for negate in range(4))
+
+
 def golay_tracks(n: int) -> tuple[TrackSpec]:
+    """The Golay track over the 8 orthogonal quads, cut to one member of
+    each orbit under G.  For n >= 2, G acts freely (A = +-B would give
+    a_1 a_n + b_1 b_n = +-2 a_1 a_n at shift n - 1), and each orbit holds
+    exactly one pair with a_1 = b_1 = a_n = +1 and b_n = -1, whose pair 1
+    is the raw quad 1: state 0 admits only that quad, state 1 every
+    orthogonal quad.  For n = 1 the one column is the central, and state 0
+    admits only z = 0, (+, +).  Every test of the search is invariant
+    under G, so each level keeps exactly 1/8 of the unrestricted states;
+    run_search unfolds the leaves into their orbits."""
     del n
+    allow = np.zeros((2, 16), dtype=bool)
+    allow[0, 1] = True
+    allow[1, list(ORTHOGONAL_RAWS)] = True
+    central = np.ones((2, 4), dtype=bool)
+    central[0, 1:] = False
     track = TrackSpec(
         alphabet=np.array(ORTHOGONAL_RAWS, dtype=np.int8),
-        allow=np.ones((1, 16), dtype=bool),
-        trans=np.zeros((1, 16), dtype=np.int8),
-        central=np.ones((1, 4), dtype=bool),
+        allow=allow,
+        trans=np.ones((2, 16), dtype=np.int8),
+        central=central,
     )
     return (track,)
 
@@ -653,23 +688,32 @@ def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
     Each search places one track.  NS passes two, (A;A) and (C;D): A is
     swept first and (C;D) placed on each survivor (_sweep_and_place).
     Golay passes one, placed column by column by _descend over the levels
-    of _levels.  shard=(i, w) keeps every w-th state of the frontier after
-    level 3 (level n//2 when that is shallower) of the sweep, or of the
-    search, so the w shards i = 0..w-1 partition it.
+    of _levels.  Its track admits one member of each orbit under G (see
+    golay_tracks), and each leaf block is unfolded here into its images
+    under the maps of G: 8 of them, or the 4 negations for n = 1; so the
+    leaves are still every ordered pair, each once.  shard=(i, w) keeps
+    every w-th state of the frontier after level 3 (level n//2 when that
+    is shallower) of the sweep, or of the search, so the w shards
+    i = 0..w-1 partition it.
     """
     if len(tracks) == 2:
         return _sweep_and_place(n, tracks, shard)
     (track,) = tracks
     m = n // 2
     levels = _levels(n, track, _solutions(n, (1, 1)))
+    images = _GOLAY_ORBIT if n > 1 else _GOLAY_ORBIT[:4]
     leaves: list[dict] = []
-    # bounds[n - m] is identically zero, so the last level's survivors
-    # satisfy every equation; they are the leaves.
+
+    def unfold(block: _Block) -> None:
+        # bounds[n - m] is identically zero, so the last level's survivors
+        # satisfy every equation; they and their images are the leaves.
+        syms = block.syms.T
+        leaves.append({"syms": [np.concatenate([g.take(syms) for g in images])]})
+
     _descend(
         _root(n, 2), 0, n - m,
         lambda block, k: _expand(block, n, k, track, levels[k]),
-        lambda block: leaves.append({"syms": [block.syms.T]}),
-        shard, min(3, m),
+        unfold, shard, min(3, m),
     )
     return _merge_leaves(leaves, tracks, n)
 
@@ -677,12 +721,13 @@ def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
 # Searches shorter than this run in-process whatever the worker count.
 # Measured in-process on 2 cores (median of 5 runs, 1 vs 2 workers): NS
 # n = 20 took 0.048 / 0.091 s, 23 0.170 / 0.173 s, 24 0.130 / 0.139 s,
-# 25 1.67 / 0.93 s and 26 0.94 / 0.61 s; Golay n = 17 0.062 / 0.078 s,
-# 18 0.083 / 0.084 s and 20 0.50 / 0.32 s.  So an NS search gains time
-# from the pool only from n = 25, but it keeps the pool from 17 up: the
-# search then runs in the workers, beside the main process's leaf checks
-# rather than on top of them, and no process peaks as high (`nsq search
-# --n 19`: 30.9 MB with 2 workers, 34.8 MB in one process).
+# 25 1.67 / 0.93 s and 26 0.94 / 0.61 s; Golay, one member per orbit,
+# n = 17 0.010 / 0.029 s, 18 0.010 / 0.032 s, 20 0.066 / 0.066 s and
+# (median of 3) 26 2.38 / 1.55 s.  So a search gains time from the pool
+# only from n = 25 (NS) or past 20 (Golay), but it keeps the pool from 17
+# up: the NS search then runs in the workers, beside the main process's
+# leaf checks rather than on top of them, and no process peaks as high
+# (`nsq search --n 19`: 30.9 MB with 2 workers, 34.8 MB in one process).
 POOL_MIN_N = 17
 
 

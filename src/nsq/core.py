@@ -4,6 +4,7 @@ the three unary transforms, and the base/normal sequence predicates."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 
 class SequenceError(ValueError):
@@ -133,7 +134,9 @@ def npaf(s: BinarySeq) -> NpafTable:
     """Nonperiodic autocorrelation of a single sequence."""
     t = s.terms
     n = len(t)
-    values = tuple(sum(t[j] * t[j + i] for j in range(n - i)) for i in range(n))
+    # map stops at the shorter sequence, t[i:], so each shift sums its
+    # n - i products.
+    values = tuple(sum(map(mul, t, t[i:])) for i in range(n))
     return NpafTable(values, n)
 
 

@@ -3,8 +3,12 @@ sequences, and the Golay-type class count.
 
 The pair search reuses the outward-in engine of the class enumerator,
 so one pruning core backs both enumerations.  It differs only in its
-track: one track over the 8 orthogonal quads, with no prefix state
-machine, whose row sums must reach the identity a^2 + b^2 = 2n."""
+track: one track over the 8 orthogonal quads, whose row sums must reach
+the identity a^2 + b^2 = 2n, and whose two-state prefix machine admits
+one member of each orbit under negating A, negating B and swapping A
+with B (a_1 = b_1 = a_n = +1, b_n = -1).  The engine unfolds each pair
+found into its orbit, so golay_pairs still receives, and validates,
+every ordered pair."""
 
 from __future__ import annotations
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -67,6 +69,18 @@ class TestNpaf:
         for i in range(n):
             assert abs(table[i]) <= n - i
             assert (table[i] - (n - i)) % 2 == 0
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_matches_indexed_generator(self, n):
+        # The per-shift generator npaf used before it summed map(mul, ...):
+        # the same tuple, type and all, on random sequences of each length.
+        rng = random.Random(n)
+        for _ in range(20):
+            t = tuple(rng.choice((1, -1)) for _ in range(n))
+            old = tuple(sum(t[j] * t[j + i] for j in range(n - i)) for i in range(n))
+            got = npaf(BinarySeq(t))
+            assert got.values == old and got.n == n
+            assert all(type(v) is int for v in got.values)
 
 
 class TestNpafSum:

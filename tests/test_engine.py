@@ -16,7 +16,9 @@ The library places one track per search.  The joint search of NS, both
 tracks placed together column by column, lives here as the oracle of the
 A-first search: joint_levels, the row-major expand_oracle and
 central_leaves_oracle, driven level by level (level_search) or by the
-library's chunked descent (joint_search)."""
+library's chunked descent (joint_search).  Likewise the Golay search,
+which the library runs on one member of each pair orbit and unfolds,
+has the unrestricted track (full_golay_tracks) as its oracle."""
 
 import itertools
 import tracemalloc
@@ -382,11 +384,25 @@ def joint_kernel(n: int):
     )
 
 
+def full_golay_tracks(n: int) -> tuple[_engine.TrackSpec]:
+    """The Golay track the library cut to one member per orbit: every
+    orthogonal quad in every column, every central, one prefix state.  It
+    searches every ordered pair, 8 times as many states per level."""
+    del n
+    track = _engine.TrackSpec(
+        alphabet=np.array(ORTHOGONAL_RAWS, dtype=np.int8),
+        allow=np.ones((1, 16), dtype=bool),
+        trans=np.zeros((1, 16), dtype=np.int8),
+        central=np.ones((1, 4), dtype=bool),
+    )
+    return (track,)
+
+
 def golay_kernel(n: int):
-    """The Golay search as (root, expand, finish): the library's _expand
-    on its pair levels, then the central of odd n by
-    central_leaves_oracle."""
-    (track,) = golay_tracks(n)
+    """The unrestricted Golay search as (root, expand, finish): the
+    library's _expand on the pair levels of full_golay_tracks, then the
+    central of odd n by central_leaves_oracle."""
+    (track,) = full_golay_tracks(n)
     levels = _levels(n, track, _solutions(n, (1, 1)))
     return (
         _root(n, 2),
@@ -440,7 +456,8 @@ def search_inputs(kind: str, n: int):
 @lru_cache(maxsize=None)
 def oracle(kind: str, n: int) -> tuple[list[int], list[tuple]]:
     """The level-synchronous search: the joint search for NS, the
-    library's kernel for Golay."""
+    library's kernel on the unrestricted track for Golay, which searches
+    every ordered pair with no orbit unfolding."""
     sizes, parts = level_search(n, *KERNELS[kind](n))
     return sizes, leaf_rows(_merge_leaves(parts, search_inputs(kind, n), n))
 
@@ -448,7 +465,8 @@ def oracle(kind: str, n: int) -> tuple[list[int], list[tuple]]:
 # Recorded from the broadcast-predicate engine that preceded the reach
 # tables.  Any change that prunes less, or more, moves one of these.  The
 # NS rows pin the joint search of this module (joint_levels and
-# expand_oracle), the Golay rows the library's _expand.
+# expand_oracle), the Golay rows the library's _expand on the unrestricted
+# track (full_golay_tracks).
 GOLDEN_FRONTIERS = {
     ("ns", 16): [1, 4, 23, 153, 1100, 7424, 8192, 52],
     ("ns", 17): [2, 6, 28, 182, 1190, 8130, 46117, 16484],
@@ -465,6 +483,61 @@ GOLDEN_FRONTIERS = {
 @pytest.mark.parametrize("kind, n", sorted(GOLDEN_FRONTIERS))
 def test_frontier_sizes_match_golden(kind, n):
     assert oracle(kind, n)[0] == GOLDEN_FRONTIERS[kind, n]
+
+
+def counting(fn, sizes: dict):
+    """fn (a level step, _sweep or _expand) that adds the size of each
+    output to sizes[k]."""
+    def spy(block, n_, k, *args):
+        out = fn(block, n_, k, *args)
+        sizes[k] = sizes.get(k, 0) + (0 if out is None else len(out))
+        return out
+    return spy
+
+
+def golay_frontiers(monkeypatch, n: int) -> list[int]:
+    """The states the library's Golay search keeps after each level (the
+    central of odd n last), one member per orbit, before the leaves are
+    unfolded."""
+    sizes = {}
+    monkeypatch.setattr(_engine, "_expand", counting(_expand, sizes))
+    run_search(n, golay_tracks(n))
+    monkeypatch.undo()
+    return [sizes.get(k, 0) for k in range(1, n - n // 2 + 1)]
+
+
+# The library's Golay search, one member of each orbit of 8: recorded
+# when the orbit rule landed, each pair level's entry GOLDEN_FRONTIERS'
+# Golay entry / 8; odd n end with the central level.
+GOLDEN_GOLAY_ORBITS = {
+    16: [1, 6, 36, 176, 894, 3730, 3116, 192],
+    17: [1, 6, 36, 176, 896, 3996, 14614, 3832, 0],
+    18: [1, 6, 36, 176, 896, 4006, 15434, 9060, 0],
+    19: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    20: [1, 6, 36, 176, 896, 4046, 17560, 55824, 76900, 136],
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_GOLAY_ORBITS))
+def test_golay_orbit_frontiers_match_golden(monkeypatch, n):
+    got = golay_frontiers(monkeypatch, n)
+    assert got == GOLDEN_GOLAY_ORBITS[n]
+    assert [8 * size for size in got[:n // 2]] == GOLDEN_FRONTIERS["golay", n]
+
+
+@pytest.mark.parametrize("n", range(1, 23))
+def test_golay_leaves_unfold_one_member_per_orbit(monkeypatch, n):
+    # Each canonical leaf unfolds into its 8 images (the 4 negations for
+    # n = 1, where the swap fixes the one column), all distinct: every
+    # ordered pair of the unrestricted search, once, whatever the shards.
+    tracks = golay_tracks(n)
+    want = oracle("golay", n)[1]
+    canonical = golay_frontiers(monkeypatch, n)[-1]
+    for shards in (1, 2, 8):
+        parts = [run_search(n, tracks, shard=(i, shards)) for i in range(shards)]
+        rows = leaf_rows(_merge_leaves(parts, tracks, n))
+        assert len(set(rows)) == len(rows) == (4 if n == 1 else 8) * canonical
+        assert rows == want, shards
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -506,20 +579,13 @@ def a_first_frontiers(monkeypatch, n: int):
     (C;D) states left after each placement level."""
     sweep, place, passed = {}, {}, []
 
-    def count(fn, sizes):
-        def spy(block, n_, k, *args):
-            out = fn(block, n_, k, *args)
-            sizes[k] = sizes.get(k, 0) + (0 if out is None else len(out))
-            return out
-        return spy
-
     def psd_spy(signs, n_, tables):
         keep = _psd_keep(signs, n_, tables)
         passed.append(len(keep))
         return keep
 
-    monkeypatch.setattr(_engine, "_sweep", count(_sweep, sweep))
-    monkeypatch.setattr(_engine, "_expand", count(_expand, place))
+    monkeypatch.setattr(_engine, "_sweep", counting(_sweep, sweep))
+    monkeypatch.setattr(_engine, "_expand", counting(_expand, place))
     monkeypatch.setattr(_engine, "_psd_keep", psd_spy)
     leaves = run_search(n, ns_tracks(n))
     monkeypatch.undo()
@@ -657,14 +723,15 @@ def test_forbidden_gate_value_cannot_cancel(n):
 
 
 # Ceilings of 1.1x the tracemalloc peaks of run_search(n, ...), on 2 cores
-# with Python 3.11 and numpy 2.4.  Golay n = 20: with the row-major
-# kernel that the shift-major one replaced, 5_040_522 bytes.  NS, with
-# the A sweep and the placement of (C;D) that replaced the joint search:
-# 2_185_021 bytes for n = 19, 2_904_621 for n = 20, 2_911_452 for n = 21
-# and 7_777_765 for n = 25 (the joint search peaked at 6.1, 7.7 and
-# 8.4 MB at n = 19, 20 and 21).
+# with Python 3.11 and numpy 2.4.  Golay n = 20: 3_681_669 bytes with one
+# member per orbit searched, against 4_944_738 for every ordered pair and
+# 5_040_522 with the row-major kernel that the shift-major one replaced.
+# NS, with the A sweep and the placement of (C;D) that replaced the joint
+# search: 2_185_021 bytes for n = 19, 2_904_621 for n = 20, 2_911_452 for
+# n = 21 and 7_777_765 for n = 25 (the joint search peaked at 6.1, 7.7
+# and 8.4 MB at n = 19, 20 and 21).
 LIVE_PEAK_CEILINGS = {
-    ("golay", 20): 5_544_000,
+    ("golay", 20): 4_050_000,
     ("ns", 19): 2_404_000,
     ("ns", 20): 3_196_000,
     ("ns", 21): 3_203_000,
@@ -717,9 +784,10 @@ def test_level_setup_is_built_once_per_level(monkeypatch):
     monkeypatch.setattr(_engine, "_levels", levels_spy)
     monkeypatch.setattr(_engine, "_sweep", spy(_sweep))
     monkeypatch.setattr(_engine, "_expand", spy(_expand))
-    # Level 9 holds ~0.5 M Golay states (GOLDEN_FRONTIERS) and ~31 k
-    # swept A's (GOLDEN_A_FIRST), so placing pair 10 takes many chunks.
-    for kind, phases, chunked, least in (("golay", 1, _expand, 100), ("ns", 2, _sweep, 5)):
+    # Level 9 holds 76,900 Golay states (GOLDEN_GOLAY_ORBITS), at least 19
+    # chunks, and ~31 k swept A's (GOLDEN_A_FIRST), so placing pair 10
+    # takes many chunks.
+    for kind, phases, chunked, least in (("golay", 1, _expand, 18), ("ns", 2, _sweep, 5)):
         built.clear()
         expanded[chunked].clear()
         run_search(20, search_inputs(kind, 20))
@@ -756,8 +824,11 @@ def test_start_state_allows_the_first_quads(n):
     (golay,) = golay_tracks(n)
     assert first(aa) == ({0, 3} if n % 2 else {0})  # label 1, and 6 for odd n
     assert first(cd) == {0, 3}                      # labels 1 and 6
-    assert first(golay) == set(ORTHOGONAL_RAWS)
-    assert golay.central.all()
+    # Golay's one member per orbit: a_1 = b_1 = a_n = +1, b_n = -1, or the
+    # central (+, +) of n = 1; every later column is free.
+    assert first(golay) == {1}
+    assert np.flatnonzero(golay.central[0]).tolist() == [0]
+    assert golay.allow[1, golay.alphabet].all() and golay.central[1].all()
 
 
 def aa_central_oracle(syms: np.ndarray, z: int) -> np.ndarray:

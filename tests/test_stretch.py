@@ -7,10 +7,13 @@ sporadic, and that length 26 has 2 classes, both of Golay type, as
 class_counts.txt records: under a second each for 21 to 24, about 2 s
 for 25 and 26 and 9 s for 29 in one process on two cores.  Lengths 27,
 28, 30 and 31 hold no class; `nsq summary --from 27 --to 31 --threads 2`
-confirms that in about a minute."""
+confirms that in about a minute.  The Golay pairs of length 26, whose
+embeddings give those 2 classes, take about 3 s in one process and 2 s
+on two workers."""
 
 import pytest
 
+from nsq.golay import golay_pairs, golay_type_class_count
 from nsq.search import enumerate_classes
 from nsq.tables import load_tables
 
@@ -33,3 +36,10 @@ def test_length_26_class_count():
     records = enumerate_classes(26)
     count = load_tables().counts[26]
     assert (len(records), sum(r.golay_type for r in records)) == (count.equ, count.gol) == (2, 2)
+
+
+def test_golay_pairs_of_length_26():
+    # Serially, then through the worker pool, which splits the search into
+    # shards from n = 17 up.
+    assert len(golay_pairs(26)) == 64
+    assert golay_type_class_count(26, workers=2) == load_tables().counts[26].gol == 2
