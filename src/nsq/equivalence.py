@@ -1,29 +1,47 @@
 """The nine involutive generators of the equivalence, orbit enumeration,
 the twelve-condition canonical form, and Golay-type detection.
 
-Canonicalisation enumerates the whole orbit (at most 512 members) and
-raises CanonicalFormError unless exactly one member is canonical, on every
-orbit it meets.  The orbit is a staged product: each generator in _STAGES
-acts once on the set built so far, 511 applications at most.  That is the
-whole orbit because the group is H.<alt> with H = <swap>.N.<quad45>, N
-being the six commuting negations and reversals: the quad 4<->5 swap and
-the C/D swap normalise N, and the alternation normalises H.  These
-relations hold whenever (C;D) cuts into the eight labelled quads, as in
-every normal quadruple.  The scan runs the twelve conditions only on the
-members that pass (i) and (vi) on the first quads, a necessary check, so
-the count of canonical members stays exact.  Orbits and their canonical
-members live in two maps that are cleared together before they would
-hold more than _CACHE_MEMBERS members.
+The group is G = H.<alt> with H = <swap>.N.<quad45>, N being the six
+commuting negations and reversals: the quad 4<->5 swap and the C/D swap
+normalise N, and the alternation normalises H.  These relations hold
+whenever (C;D) cuts into the eight labelled quads, as in every normal
+quadruple.
+
+H factors as N_a x H_cd.  Its generators negate_aa and reverse_aa touch
+only A, and the other six (the C and D negations and reversals, swap_cd
+and quad_swap_45) touch only (C;D); maps on disjoint coordinates commute.
+So the H-orbit of (a, c, d) is the product of {+-a, +-rev a} with the
+H_cd-orbit of (c, d), which is the union over (x, y) in {(c, d),
+quad45(c, d)} of {+-x, +-rev x} x {+-y, +-rev y} and its swap: at most
+4 x 64 members.  H is normal in G, so G = H u H.alt, and the G-orbit is
+the H-orbit of (a, c, d) together with the H-orbit of its alternation.
+Two H-orbits are equal or disjoint, so one membership test of alt(a, c,
+d) in the first tells which.
+
+Conditions (i)-(v) read only A and (vi)-(xii) only (C;D), so within one
+H-orbit the canonical members are {a: A passes} x {(c, d): (C;D) passes}.
+Canonicalisation counts them over the one or two H-orbits and raises
+CanonicalFormError unless there is exactly one, on every orbit it meets.
+Each side runs its conditions only on the members that pass its end-term
+check, (i) or (vi), which is the same condition read without the quad
+labels, so the count stays exact.  Three bounded caches serve a sweep
+over one orbit's members: every member of an A-set maps to the set,
+every member of a (C;D)-set to the set, and each (A-set, (C;D)-set) to
+its orbit's canonical member; all three are cleared together before
+they would hold more than _CACHE_MEMBERS keys.
 """
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
+from itertools import product
 
 from .core import NormalQuadruple, SequenceError, is_normal
-from .quadcodec import SYMMETRIC_QUADS, quad_labels
+from .quadcodec import MAX_N, SYMMETRIC_QUADS, quad_labels
 
 Raw = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class CanonicalFormError(RuntimeError):
@@ -46,11 +64,15 @@ TRANSFORMS = tuple(Transform)
 
 
 def _neg(t: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-v for v in t)
+    return tuple(map(operator.neg, t))
+
+
+_SIGNS = (1, -1) * ((MAX_N + 1) // 2)
 
 
 def _alt(t: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(v if i % 2 == 0 else -v for i, v in enumerate(t))
+    signs = _SIGNS if len(t) <= len(_SIGNS) else (1, -1) * ((len(t) + 1) // 2)
+    return tuple(map(operator.mul, t, signs))
 
 
 def _swap45(c: tuple[int, ...], d: tuple[int, ...]):
@@ -126,15 +148,6 @@ _RAW_APPLIERS = {
 }
 _APPLIER_LIST = tuple(_RAW_APPLIERS[t] for t in TRANSFORMS)
 
-# Staged-product order (composed right to left: swap . rev . neg . quad45
-# . alt), costliest first so that it acts on the fewest members.
-_STAGES = (
-    _apply_alternate, _apply_quad_swap,
-    _apply_negate_aa, _apply_negate_c, _apply_negate_d,
-    _apply_reverse_aa, _apply_reverse_c, _apply_reverse_d,
-    _apply_swap_cd,
-)
-
 
 def apply_raw(transform: Transform, raw: Raw) -> Raw:
     return _RAW_APPLIERS[transform](raw)
@@ -145,25 +158,66 @@ def apply(transform: Transform, quad: NormalQuadruple) -> NormalQuadruple:
     return NormalQuadruple.from_raw(apply_raw(transform, quad.raw()))
 
 
-# Bound on the members the orbit cache holds: about 32 full orbits.
-_CACHE_MEMBERS = 1 << 14
-_ORBIT_OF: dict[Raw, frozenset[Raw]] = {}
-_WINNER_OF: dict[frozenset[Raw], Raw] = {}
+# Bound on the keys the three caches hold together: about 60 full orbits,
+# each two A-sets of 4 members, two (C;D)-sets of 64 and two winners.
+_CACHE_MEMBERS = 1 << 13
+_A_SET: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
+_CD_SET: dict[Pair, frozenset[Pair]] = {}
+_WINNER_OF: dict[tuple[frozenset, frozenset], Raw] = {}
+
+
+def _remember(cache: dict, keys, value) -> None:
+    if len(_A_SET) + len(_CD_SET) + len(_WINNER_OF) + len(keys) > _CACHE_MEMBERS:
+        _A_SET.clear()
+        _CD_SET.clear()
+        _WINNER_OF.clear()
+    cache.update(dict.fromkeys(keys, value))
+
+
+def _signed(x: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """x under its negation and reversal: +-x, +-rev x."""
+    nx = _neg(x)
+    return (x, nx, x[::-1], nx[::-1])
+
+
+def _a_set(a: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """The orbit of A under N_a = <negate_aa, reverse_aa>."""
+    members = _A_SET.get(a)
+    if members is None:
+        members = frozenset(_signed(a))
+        _remember(_A_SET, members, members)
+    return members
+
+
+def _cd_set(c: tuple[int, ...], d: tuple[int, ...]) -> frozenset[Pair]:
+    """The orbit of (C;D) under H_cd = <swap_cd>.N_cd.<quad_swap_45>."""
+    members = _CD_SET.get((c, d))
+    if members is None:
+        pairs = []
+        for x, y in ((c, d), _swap45(c, d)):
+            xs, ys = _signed(x), _signed(y)
+            pairs += product(xs, ys)
+            pairs += product(ys, xs)
+        members = frozenset(pairs)
+        _remember(_CD_SET, members, members)
+    return members
+
+
+def _h_orbits(raw: Raw) -> tuple[tuple[frozenset, frozenset], ...]:
+    """The (A-set, (C;D)-set) factors of the H-orbits of raw and of its
+    alternation; one pair when the two H-orbits coincide."""
+    a, c, d = raw
+    first = (_a_set(a), _cd_set(c, d))
+    a2, c2, d2 = _apply_alternate(raw)
+    if a2 in first[0] and (c2, d2) in first[1]:
+        return (first,)
+    return first, (_a_set(a2), _cd_set(c2, d2))
 
 
 def orbit_raw(raw: Raw) -> frozenset[Raw]:
-    members = _ORBIT_OF.get(raw)
-    if members is not None:
-        return members
-    staged = {raw}
-    for fn in _STAGES:
-        staged.update([fn(state) for state in staged])
-    members = frozenset(staged)
-    if len(_ORBIT_OF) + len(members) > _CACHE_MEMBERS:
-        _ORBIT_OF.clear()
-        _WINNER_OF.clear()
-    _ORBIT_OF.update(dict.fromkeys(members, members))
-    return members
+    return frozenset(
+        (x, c, d) for xs, cds in _h_orbits(raw) for x in xs for c, d in cds
+    )
 
 
 def orbit(quad: NormalQuadruple) -> frozenset[NormalQuadruple]:
@@ -171,23 +225,28 @@ def orbit(quad: NormalQuadruple) -> frozenset[NormalQuadruple]:
     return frozenset(NormalQuadruple.from_raw(r) for r in orbit_raw(quad.raw()))
 
 
-def _codes_of_raw(raw: Raw):
-    """Quad labels and central labels of (A;A) and (C;D), straight off the
-    sign tuples (no BinarySeq wrappers, orbit scans call this a lot)."""
-    a, c, d = raw
-    return (*quad_labels(a, a), *quad_labels(c, d))
+def _aa_may_be_canonical(a: tuple[int, ...]) -> bool:
+    """Condition (i) read off the end terms: a_1 = +1, and a_n = +1 for
+    even n (p_1 is 1, or 1 or 6 for odd n)."""
+    return len(a) == 1 or (a[0] == 1 and (len(a) % 2 == 1 or a[-1] == 1))
 
 
-def _violation_raw(raw: Raw) -> str | None:
-    p, p_cen, q, q_cen = _codes_of_raw(raw)
-    n = len(raw[0])
+def _cd_may_be_canonical(c: tuple[int, ...], d: tuple[int, ...]) -> bool:
+    """Condition (vi) read off the end terms: c_1 = d_1 = +1 and
+    c_n = d_n (q_1 is 1 or 6)."""
+    return len(c) == 1 or (c[0] == 1 and d[0] == 1 and c[-1] == d[-1])
+
+
+def _is_sym(s: int) -> bool:
+    return s in SYMMETRIC_QUADS
+
+
+def _aa_violation(a: tuple[int, ...]) -> str | None:
+    """First of conditions (i)-(v), on the quads of (A;A), that fails."""
+    p, p_cen = quad_labels(a, a)
+    n = len(a)
     m = len(p)
     odd = n % 2 == 1
-    cen = m + 1
-
-    def is_sym(s: int) -> bool:
-        return s in SYMMETRIC_QUADS
-
     # (i)
     if not odd:
         if p[0] != 1:
@@ -195,37 +254,46 @@ def _violation_raw(raw: Raw) -> str | None:
     elif n > 1 and p[0] not in (1, 6):
         return "(i) at p_1"
     # (ii) first symmetric quad of (A;A) is 1
-    first = next((k for k, s in enumerate(p) if is_sym(s)), None)
+    first = next((k for k, s in enumerate(p) if _is_sym(s)), None)
     if first is not None and p[first] != 1:
         return f"(ii) at p_{first + 1}"
     # (iii) first skew quad of (A;A) is 6
-    first = next((k for k, s in enumerate(p) if not is_sym(s)), None)
+    first = next((k for k, s in enumerate(p) if not _is_sym(s)), None)
     if first is not None and p[first] != 6:
         return f"(iii) at p_{first + 1}"
     if odd:
+        cen = m + 1
         # (iv) all quads skew forces central 0
-        if all(not is_sym(s) for s in p) and p_cen != 0:
+        if all(not _is_sym(s) for s in p) and p_cen != 0:
             return f"(iv) at p_{cen}"
         # (v) the first same-type adjacency pins the second quad of the
         # pair to {1,6}; with no adjacency and a symmetric last quad the
         # central must be 0
         adjacent = next(
-            (k for k in range(m - 1) if is_sym(p[k]) == is_sym(p[k + 1])), None
+            (k for k in range(m - 1) if _is_sym(p[k]) == _is_sym(p[k + 1])), None
         )
         if adjacent is not None:
             if p[adjacent + 1] not in (1, 6):
                 return f"(v) at p_{adjacent + 2}"
-        elif m and is_sym(p[m - 1]) and p_cen != 0:
+        elif m and _is_sym(p[m - 1]) and p_cen != 0:
             return f"(v) at p_{cen}"
+    return None
+
+
+def _cd_violation(c: tuple[int, ...], d: tuple[int, ...]) -> str | None:
+    """First of conditions (vi)-(xii), on the quads of (C;D), that fails;
+    CodeError when (C;D) does not cut into the eight quads."""
+    q, q_cen = quad_labels(c, d)
+    n = len(c)
     # (vi)
     if n > 1 and q[0] not in (1, 6):
         return "(vi) at q_1"
     # (vii) first symmetric quad of (C;D) is 1
-    first = next((k for k, s in enumerate(q) if is_sym(s)), None)
+    first = next((k for k, s in enumerate(q) if _is_sym(s)), None)
     if first is not None and q[first] != 1:
         return f"(vii) at q_{first + 1}"
     # (viii) first skew quad of (C;D) is 6
-    first = next((k for k, s in enumerate(q) if not is_sym(s)), None)
+    first = next((k for k, s in enumerate(q) if not _is_sym(s)), None)
     if first is not None and q[first] != 6:
         return f"(viii) at q_{first + 1}"
     # (ix) first quad in {2,7} is 2
@@ -236,7 +304,8 @@ def _violation_raw(raw: Raw) -> str | None:
     first = next((k for k, s in enumerate(q) if s in (4, 5)), None)
     if first is not None and q[first] != 4:
         return f"(x) at q_{first + 1}"
-    if odd:
+    if n % 2 == 1:
+        cen = len(q) + 1
         # (xi)
         if all(s != 2 for s in q) and q_cen == 2:
             return f"(xi) at q_{cen}"
@@ -252,45 +321,41 @@ def canonical_violation(quad: NormalQuadruple) -> str | None:
     Assumes the quadruple is normal; returns None when all twelve
     conditions hold.
     """
-    return _violation_raw(quad.raw())
+    a, c, d = quad.raw()
+    # (C;D) is labelled first, so a side outside the eight quads raises
+    # CodeError whatever A reads
+    cd = _cd_violation(c, d)
+    return _aa_violation(a) or cd
 
 
 def is_canonical(quad: NormalQuadruple) -> bool:
     return canonical_violation(quad) is None
 
 
-def _may_be_canonical(raw: Raw) -> bool:
-    """Conditions (i) and (vi) on the first quads: p_1 is 1 (or 6 for odd
-    n) and q_1 is 1 or 6.  Necessary for the canonical form, read straight
-    off the end terms."""
-    a, c, d = raw
-    if len(a) == 1:
-        return True
-    return (
-        a[0] == 1
-        and (len(a) % 2 == 1 or a[-1] == 1)
-        and c[0] == 1
-        and d[0] == 1
-        and c[-1] == d[-1]
-    )
-
-
 def canonical_raw(raw: Raw) -> Raw:
-    members = orbit_raw(raw)
-    winner = _WINNER_OF.get(members)
+    a, c, d = raw
+    winner = _WINNER_OF.get((_a_set(a), _cd_set(c, d)))
     if winner is not None:
         return winner
-    canonical = [
-        r for r in members if _may_be_canonical(r) and _violation_raw(r) is None
-    ]
+    halves = _h_orbits(raw)
+    canonical = []
+    for xs, cds in halves:
+        a_ok = [x for x in xs if _aa_may_be_canonical(x) and _aa_violation(x) is None]
+        if a_ok:
+            cd_ok = [
+                y for y in cds if _cd_may_be_canonical(*y) and _cd_violation(*y) is None
+            ]
+            canonical += [(x, *y) for x in a_ok for y in cd_ok]
     if len(canonical) != 1:
         # a (C;D) side outside the eight quads fails as the full scan would
-        _codes_of_raw(raw)
+        quad_labels(c, d)
+        size = sum(len(xs) * len(cds) for xs, cds in halves)
         raise CanonicalFormError(
-            f"orbit of size {len(members)} has {len(canonical)} canonical members,"
+            f"orbit of size {size} has {len(canonical)} canonical members,"
             " expected exactly one"
         )
-    winner = _WINNER_OF[members] = canonical[0]
+    winner = canonical[0]
+    _remember(_WINNER_OF, halves, winner)
     return winner
 
 
@@ -344,8 +409,11 @@ def is_golay_type(quad: NormalQuadruple) -> bool:
     """Whether some orbit member has C = D.
 
     C = D in a valid quadruple forces (A;C) to be a Golay pair, and both
-    Golay embeddings have C = D, so this is exactly Golay-typeness.
+    Golay embeddings have C = D, so this is exactly Golay-typeness.  One
+    (C;D) factor settles it: the alternation carries the (C;D)-set of one
+    H-orbit onto that of the other, and keeps C = D.
     """
     if not is_normal(quad):
         raise SequenceError("Golay type is only defined for valid quadruples")
-    return any(c == d for _, c, d in orbit_raw(quad.raw()))
+    _, c, d = quad.raw()
+    return any(x == y for x, y in _cd_set(c, d))

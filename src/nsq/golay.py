@@ -83,10 +83,23 @@ def two_embeddings_equivalent(pair: GolayPair) -> bool:
     return are_equivalent(first, second)
 
 
+def _leads_its_orbit(pair: GolayPair) -> bool:
+    """Whether the pair is the one member of its orbit under
+    G = {(+-A, +-B), (+-B, +-A)} with a_1 = b_1 = a_n = +1 and b_n = -1
+    (one per orbit for n >= 2; none at n = 1)."""
+    a, b = pair.a, pair.b
+    return a[0] == b[0] == a[-1] == 1 and b[-1] == -1
+
+
 def golay_type_class_count(n: int, workers: int = 1) -> int:
-    """Number of distinct classes met by the embeddings of all pairs."""
-    canonical = set()
-    for pair in golay_pairs(n, workers=workers):
-        for quad in embed(pair):
-            canonical.add(canonical_raw(quad.raw()))
-    return len(canonical)
+    """Number of distinct classes met by the embeddings of all pairs.
+
+    The images of a pair under G embed into equivalent quadruples: -A
+    by negate_aa, -B by negate_c.negate_d, and the swap exchanges the
+    two embeddings.  So only the orbit leaders are embedded, or every
+    pair at n = 1.
+    """
+    pairs = golay_pairs(n, workers=workers)
+    if n > 1:
+        pairs = [pair for pair in pairs if _leads_its_orbit(pair)]
+    return len({canonical_raw(quad.raw()) for pair in pairs for quad in embed(pair)})

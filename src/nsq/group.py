@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .core import NormalQuadruple
 from .equivalence import (
+    _RAW_APPLIERS,
     TRANSFORMS,
     Transform,
     apply_raw,
@@ -32,9 +33,14 @@ class GroupElement:
 
     word: tuple[Transform, ...]
 
+    @cached_property
+    def _steps(self):
+        # the word's appliers in the order they act, looked up once
+        return tuple(_RAW_APPLIERS[t] for t in reversed(self.word))
+
     def act_raw(self, raw: Raw) -> Raw:
-        for t in reversed(self.word):
-            raw = apply_raw(t, raw)
+        for step in self._steps:
+            raw = step(raw)
         return raw
 
     def act(self, quad: NormalQuadruple) -> NormalQuadruple:

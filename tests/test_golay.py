@@ -2,9 +2,11 @@ import pytest
 
 from nsq.core import BinarySeq, NormalQuadruple, is_normal, npaf
 from nsq.equivalence import are_equivalent, canonical_raw, is_golay_type
+from nsq import golay
 from nsq.golay import (
     GolayError,
     GolayPair,
+    _leads_its_orbit,
     embed,
     golay_pairs,
     golay_type_class_count,
@@ -16,8 +18,13 @@ from nsq.search import enumerate_classes
 
 def golay_class_codes(n: int) -> set[tuple[str, str]]:
     """Canonical code pairs of every Golay-type class, for cross-checks."""
+    return golay_class_codes_of(golay_pairs(n))
+
+
+def golay_class_codes_of(pairs) -> set[tuple[str, str]]:
+    """Canonical code pairs met by both embeddings of every given pair."""
     codes = set()
-    for pair in golay_pairs(n):
+    for pair in pairs:
         for quad in embed(pair):
             canon = NormalQuadruple.from_raw(canonical_raw(quad.raw()))
             p, q = encode_quadruple(canon)
@@ -101,3 +108,15 @@ class TestClassCounts:
             (r.p_code, r.q_code) for r in enumerate_classes(n) if r.golay_type
         }
         assert golay_class_codes(n) == tagged
+
+    @pytest.mark.parametrize("n", range(2, 23))
+    def test_orbit_leaders_are_one_pair_in_eight(self, n):
+        pairs = golay_pairs(n)
+        leaders = [pair for pair in pairs if _leads_its_orbit(pair)]
+        assert 8 * len(leaders) == len(pairs)
+
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_count_equals_the_all_pairs_count(self, n, monkeypatch):
+        pairs = golay_pairs(n)
+        monkeypatch.setattr(golay, "golay_pairs", lambda n, workers=1: pairs)
+        assert golay_type_class_count(n) == len(golay_class_codes_of(pairs))

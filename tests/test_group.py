@@ -8,8 +8,10 @@ from nsq.group import (
     _RELATION_CASES,
     _RELATION_SEED,
     GroupElement,
+    _probe,
     _random_quad_regular,
     _relation_samples,
+    _relations,
     generators,
     orbits_match_classes,
     realized_order,
@@ -33,6 +35,13 @@ EXPECTED_ORDERS = {
     11: 512,
     12: 512,
 }
+
+
+def act_raw_reference(word, raw):
+    """Oracle: the word's action, one apply_raw per step, right to left."""
+    for t in reversed(word):
+        raw = apply_raw(t, raw)
+    return raw
 
 
 class TestGenerators:
@@ -75,6 +84,18 @@ class TestGenerators:
         quad = decode_quadruple(*parse_code("160 640"))
         word = GroupElement((Transform.SWAP_CD, Transform.NEGATE_C))
         assert word.act(quad) == apply(Transform.SWAP_CD, apply(Transform.NEGATE_C, quad))
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_word_action_matches_the_per_step_reference(self, n):
+        stated, conjectured = _relations(n)
+        words = [word for _, lhs, rhs in [*stated, conjectured] for word in (lhs, rhs)]
+        words += [(t,) for t in TRANSFORMS] + [()]
+        rng = random.Random(n)
+        samples = list(_probe(n)) + [_random_quad_regular(n, rng) for _ in range(4)]
+        for word in words:
+            element = GroupElement(word)
+            for raw in samples:
+                assert element.act_raw(raw) == act_raw_reference(word, raw), word
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):

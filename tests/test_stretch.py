@@ -13,7 +13,8 @@ on two workers."""
 
 import pytest
 
-from nsq.golay import golay_pairs, golay_type_class_count
+from nsq.equivalence import canonical_raw
+from nsq.golay import embed, golay_pairs, golay_type_class_count
 from nsq.search import enumerate_classes
 from nsq.tables import load_tables
 
@@ -40,6 +41,10 @@ def test_length_26_class_count():
 
 def test_golay_pairs_of_length_26():
     # Serially, then through the worker pool, which splits the search into
-    # shards from n = 17 up.
-    assert len(golay_pairs(26)) == 64
-    assert golay_type_class_count(26, workers=2) == load_tables().counts[26].gol == 2
+    # shards from n = 17 up.  The count embeds one pair per orbit; every
+    # pair's embeddings meet the same classes.
+    pairs = golay_pairs(26)
+    assert len(pairs) == 64
+    every = {canonical_raw(quad.raw()) for pair in pairs for quad in embed(pair)}
+    assert golay_type_class_count(26, workers=2) == len(every)
+    assert len(every) == load_tables().counts[26].gol == 2
