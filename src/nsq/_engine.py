@@ -8,10 +8,9 @@ odd n the last level fixes the central column.
 
 The Golay search places its one track level by level, on one member of
 each orbit of pairs under negating A, negating B and swapping A with B:
-its track admits a single quad at pair 1 (golay_tracks), and run_search
-unfolds each leaf into the other 7 members of its orbit, so it still
-returns every ordered pair.  The NS search (A;A;C;D) goes A first
-(_sweep_and_place):
+its track admits a single quad at pair 1 (golay_tracks), so it returns
+that one member, the orbit's leader, and golay.py unfolds the orbit.
+The NS search (A;A;C;D) goes A first (_sweep_and_place):
 
 1. the sweep: A alone, through the (A;A) track's prefix tables, with its
    plain and alternating sums still able to reach the a of some row-sum
@@ -205,23 +204,6 @@ def ns_tracks(n: int) -> tuple[TrackSpec, TrackSpec]:
     return aa, cd
 
 
-def _golay_map(negate: int, swap: bool) -> np.ndarray:
-    """One map of the Golay orbit group as a 16-entry raw-id table: on a
-    column state s (top sign = bit 2, bottom = bit 1), negating A is s ^ 2,
-    negating B is s ^ 1, and swapping A with B exchanges the two bits.
-    Built from Python ints: numpy's shift and xor, run at import, added
-    about 0.1 MB to the peak RSS of every command that loads the engine
-    (measured: `nsq search --n 19 --threads 2` on 2 cores)."""
-    column = [(s >> 1 | (s & 1) << 1 if swap else s) ^ negate for s in range(4)]
-    return np.array([4 * column[raw // 4] + column[raw % 4] for raw in range(16)], dtype=np.int8)
-
-
-# The group G = {(+-A, +-B), (+-B, +-A)}: the four negations, the identity
-# first, then the four negations of the swap.  The swap fixes the one
-# central column (+, +) of n = 1, so there only the first four differ.
-_GOLAY_ORBIT = tuple(_golay_map(negate, swap) for swap in (False, True) for negate in range(4))
-
-
 def golay_tracks(n: int) -> tuple[TrackSpec]:
     """The Golay track over the 8 orthogonal quads, cut to one member of
     each orbit under G.  For n >= 2, G acts freely (A = +-B would give
@@ -230,8 +212,8 @@ def golay_tracks(n: int) -> tuple[TrackSpec]:
     is the raw quad 1: state 0 admits only that quad, state 1 every
     orthogonal quad.  For n = 1 the one column is the central, and state 0
     admits only z = 0, (+, +).  Every test of the search is invariant
-    under G, so each level keeps exactly 1/8 of the unrestricted states;
-    run_search unfolds the leaves into their orbits."""
+    under G, so each level keeps exactly 1/8 of the unrestricted states,
+    and the leaves are the orbit leaders, each once."""
     del n
     allow = np.zeros((2, 16), dtype=bool)
     allow[0, 1] = True
@@ -688,10 +670,8 @@ def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
     Each search places one track.  NS passes two, (A;A) and (C;D): A is
     swept first and (C;D) placed on each survivor (_sweep_and_place).
     Golay passes one, placed column by column by _descend over the levels
-    of _levels.  Its track admits one member of each orbit under G (see
-    golay_tracks), and each leaf block is unfolded here into its images
-    under the maps of G: 8 of them, or the 4 negations for n = 1; so the
-    leaves are still every ordered pair, each once.  shard=(i, w) keeps
+    of _levels; its track admits one member of each orbit under G (see
+    golay_tracks), so the leaves are the orbit leaders.  shard=(i, w) keeps
     every w-th state of the frontier after level 3 (level n//2 when that
     is shallower) of the sweep, or of the search, so the w shards
     i = 0..w-1 partition it.
@@ -701,19 +681,14 @@ def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
     (track,) = tracks
     m = n // 2
     levels = _levels(n, track, _solutions(n, (1, 1)))
-    images = _GOLAY_ORBIT if n > 1 else _GOLAY_ORBIT[:4]
     leaves: list[dict] = []
-
-    def unfold(block: _Block) -> None:
-        # bounds[n - m] is identically zero, so the last level's survivors
-        # satisfy every equation; they and their images are the leaves.
-        syms = block.syms.T
-        leaves.append({"syms": [np.concatenate([g.take(syms) for g in images])]})
-
+    # bounds[n - m] is identically zero, so the last level's survivors
+    # satisfy every equation: they are the leaves.
     _descend(
         _root(n, 2), 0, n - m,
         lambda block, k: _expand(block, n, k, track, levels[k]),
-        unfold, shard, min(3, m),
+        lambda block: leaves.append({"syms": [block.syms.T]}),
+        shard, min(3, m),
     )
     return _merge_leaves(leaves, tracks, n)
 
@@ -784,6 +759,7 @@ def search_normal(n: int, workers: int = 1):
 
 
 def search_golay(n: int, workers: int = 1):
-    """All ordered pairs with identically vanishing combined correlation,
+    """One pair with identically vanishing combined correlation per orbit
+    under negating A, negating B and swapping A with B (see golay_tracks),
     as sign rows [(A, B)], one row per pair in each array."""
     return _search(n, golay_tracks(n), workers)

@@ -5,10 +5,10 @@ The pair search reuses the outward-in engine of the class enumerator,
 so one pruning core backs both enumerations.  It differs only in its
 track: one track over the 8 orthogonal quads, whose row sums must reach
 the identity a^2 + b^2 = 2n, and whose two-state prefix machine admits
-one member of each orbit under negating A, negating B and swapping A
-with B (a_1 = b_1 = a_n = +1, b_n = -1).  The engine unfolds each pair
-found into its orbit, so golay_pairs still receives, and validates,
-every ordered pair."""
+one member of each orbit under G = {(+-A, +-B), (+-B, +-A)}: the leader,
+with a_1 = b_1 = a_n = +1 and b_n = -1, or A = B = (+) at n = 1.  This
+module alone knows how G acts: golay_pairs unfolds each leader into its
+orbit, and golay_type_class_count embeds the leaders only."""
 
 from __future__ import annotations
 
@@ -19,7 +19,8 @@ from .equivalence import are_equivalent, canonical_raw
 
 
 class GolayError(ValueError):
-    """Raised for invalid pairs or out-of-budget searches."""
+    """Raised for invalid pairs, out-of-budget searches, or a search that
+    returns an orbit leader twice."""
 
 
 MAX_EXHAUSTIVE = 26
@@ -45,8 +46,8 @@ class GolayPair:
         return len(self.a)
 
 
-def golay_pairs(n: int, workers: int = 1) -> list[GolayPair]:
-    """All ordered Golay pairs of length n, exhaustively."""
+def _orbit_leaders(n: int, workers: int) -> list[GolayPair]:
+    """One Golay pair of length n per orbit under G, exhaustively."""
     if n < 1:
         raise GolayError("n must be at least 1")
     if n > MAX_EXHAUSTIVE:
@@ -56,8 +57,24 @@ def golay_pairs(n: int, workers: int = 1) -> list[GolayPair]:
     from . import _engine  # numpy loads only when a search runs
 
     ((a_rows, b_rows),) = _engine.search_golay(n, workers)
-    rows = sorted(zip(map(tuple, a_rows.tolist()), map(tuple, b_rows.tolist())))
+    rows = list(zip(map(tuple, a_rows.tolist()), map(tuple, b_rows.tolist())))
+    if len(set(rows)) != len(rows):
+        raise GolayError("the search returned an orbit leader twice")
     return [GolayPair(BinarySeq(a), BinarySeq(b)) for a, b in rows]
+
+
+def golay_pairs(n: int, workers: int = 1) -> list[GolayPair]:
+    """All ordered Golay pairs of length n, exhaustively: the images of
+    the orbit leaders under G, each once (at n = 1 the swap fixes the
+    leader), sorted."""
+    images = {
+        GolayPair(x, y)
+        for pair in _orbit_leaders(n, workers)
+        for a, b in ((pair.a, pair.b), (pair.b, pair.a))
+        for x in (a, negate(a))
+        for y in (b, negate(b))
+    }
+    return sorted(images, key=lambda pair: (pair.a.terms, pair.b.terms))
 
 
 def embed(pair: GolayPair) -> tuple[NormalQuadruple, NormalQuadruple]:
@@ -83,23 +100,12 @@ def two_embeddings_equivalent(pair: GolayPair) -> bool:
     return are_equivalent(first, second)
 
 
-def _leads_its_orbit(pair: GolayPair) -> bool:
-    """Whether the pair is the one member of its orbit under
-    G = {(+-A, +-B), (+-B, +-A)} with a_1 = b_1 = a_n = +1 and b_n = -1
-    (one per orbit for n >= 2; none at n = 1)."""
-    a, b = pair.a, pair.b
-    return a[0] == b[0] == a[-1] == 1 and b[-1] == -1
-
-
 def golay_type_class_count(n: int, workers: int = 1) -> int:
     """Number of distinct classes met by the embeddings of all pairs.
 
     The images of a pair under G embed into equivalent quadruples: -A
     by negate_aa, -B by negate_c.negate_d, and the swap exchanges the
-    two embeddings.  So only the orbit leaders are embedded, or every
-    pair at n = 1.
+    two embeddings.  So only the orbit leaders are embedded.
     """
-    pairs = golay_pairs(n, workers=workers)
-    if n > 1:
-        pairs = [pair for pair in pairs if _leads_its_orbit(pair)]
+    pairs = _orbit_leaders(n, workers)
     return len({canonical_raw(quad.raw()) for pair in pairs for quad in embed(pair)})

@@ -17,8 +17,10 @@ tracks placed together column by column, lives here as the oracle of the
 A-first search: joint_levels, the row-major expand_oracle and
 central_leaves_oracle, driven level by level (level_search) or by the
 library's chunked descent (joint_search).  Likewise the Golay search,
-which the library runs on one member of each pair orbit and unfolds,
-has the unrestricted track (full_golay_tracks) as its oracle."""
+which the library runs on one member of each pair orbit, has the
+unrestricted track (full_golay_tracks) as its oracle: the engine's
+leaves are its orbit leaders, and golay_pairs, which unfolds them, is
+every one of its pairs."""
 
 import itertools
 import tracemalloc
@@ -58,6 +60,7 @@ from nsq._engine import (
     _reach_table,
     _root,
     _row_strides,
+    _sign_rows,
     _solutions,
     _spell,
     _sweep,
@@ -65,6 +68,7 @@ from nsq._engine import (
     golay_tracks,
     ns_tracks,
 )
+from nsq.golay import golay_pairs
 from nsq.quadcodec import AA_QUADS, QUAD_MATRICES
 
 
@@ -457,9 +461,20 @@ def search_inputs(kind: str, n: int):
 def oracle(kind: str, n: int) -> tuple[list[int], list[tuple]]:
     """The level-synchronous search: the joint search for NS, the
     library's kernel on the unrestricted track for Golay, which searches
-    every ordered pair with no orbit unfolding."""
+    every ordered pair."""
     sizes, parts = level_search(n, *KERNELS[kind](n))
     return sizes, leaf_rows(_merge_leaves(parts, search_inputs(kind, n), n))
+
+
+def oracle_leaves(kind: str, n: int) -> list[tuple]:
+    """The oracle's rows that the library's search returns: every NS row,
+    and the Golay rows that lead their orbits, whose pair 1 is the raw
+    quad 1 (a_1 = b_1 = a_n = +1, b_n = -1), or at n = 1 whose central is
+    z = 0, the raw quad 0."""
+    rows = oracle(kind, n)[1]
+    if kind == "ns":
+        return rows
+    return [row for row in rows if row[0] == (1 if n > 1 else 0)]
 
 
 # Recorded from the broadcast-predicate engine that preceded the reach
@@ -497,8 +512,7 @@ def counting(fn, sizes: dict):
 
 def golay_frontiers(monkeypatch, n: int) -> list[int]:
     """The states the library's Golay search keeps after each level (the
-    central of odd n last), one member per orbit, before the leaves are
-    unfolded."""
+    central of odd n last), one member per orbit."""
     sizes = {}
     monkeypatch.setattr(_engine, "_expand", counting(_expand, sizes))
     run_search(n, golay_tracks(n))
@@ -526,24 +540,31 @@ def test_golay_orbit_frontiers_match_golden(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", range(1, 23))
-def test_golay_leaves_unfold_one_member_per_orbit(monkeypatch, n):
-    # Each canonical leaf unfolds into its 8 images (the 4 negations for
-    # n = 1, where the swap fixes the one column), all distinct: every
-    # ordered pair of the unrestricted search, once, whatever the shards.
+def test_golay_leaders_are_distinct(n):
     tracks = golay_tracks(n)
-    want = oracle("golay", n)[1]
-    canonical = golay_frontiers(monkeypatch, n)[-1]
     for shards in (1, 2, 8):
         parts = [run_search(n, tracks, shard=(i, shards)) for i in range(shards)]
         rows = leaf_rows(_merge_leaves(parts, tracks, n))
-        assert len(set(rows)) == len(rows) == (4 if n == 1 else 8) * canonical
-        assert rows == want, shards
+        assert len(set(rows)) == len(rows), shards
+
+
+@pytest.mark.parametrize("n", range(1, 23))
+def test_golay_leaves_unfold_one_member_per_orbit(n):
+    # golay_pairs unfolds each leader into its orbit: every ordered pair
+    # of the unrestricted search, once, in one process or (from n = 17,
+    # POOL_MIN_N) over the pool.
+    rows = np.array(oracle("golay", n)[1], dtype=np.int8).reshape(-1, n - n // 2)
+    ((a, b),) = _sign_rows({"syms": [rows]}, n)
+    want = sorted(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
+    for workers in (1, 2):
+        got = [(pair.a.terms, pair.b.terms) for pair in golay_pairs(n, workers=workers)]
+        assert got == want, workers
 
 
 @pytest.mark.parametrize("n", range(1, 21))
 @pytest.mark.parametrize("kind", sorted(SEARCHES))
 def test_run_search_matches_level_synchronous_oracle(kind, n):
-    assert leaf_rows(run_search(n, search_inputs(kind, n))) == oracle(kind, n)[1]
+    assert leaf_rows(run_search(n, search_inputs(kind, n))) == oracle_leaves(kind, n)
 
 
 @pytest.mark.parametrize("shards", [2, 8])
@@ -552,7 +573,7 @@ def test_run_search_matches_level_synchronous_oracle(kind, n):
 def test_shards_partition_the_search(kind, n, shards):
     tracks = search_inputs(kind, n)
     parts = [run_search(n, tracks, shard=(i, shards)) for i in range(shards)]
-    assert leaf_rows(_merge_leaves(parts, tracks, n)) == oracle(kind, n)[1]
+    assert leaf_rows(_merge_leaves(parts, tracks, n)) == oracle_leaves(kind, n)
 
 
 @pytest.mark.parametrize("n", range(21, 25))
@@ -761,7 +782,7 @@ def test_tiny_chunks_match_oracle(monkeypatch, kind, n):
     # is split at every level, and odd n places its central column on
     # many small blocks.
     monkeypatch.setattr(_engine, "CHUNK", 37)
-    assert leaf_rows(run_search(n, search_inputs(kind, n))) == oracle(kind, n)[1]
+    assert leaf_rows(run_search(n, search_inputs(kind, n))) == oracle_leaves(kind, n)
 
 
 def test_level_setup_is_built_once_per_level(monkeypatch):

@@ -1,12 +1,12 @@
+import numpy as np
 import pytest
 
 from nsq.core import BinarySeq, NormalQuadruple, is_normal, npaf
 from nsq.equivalence import are_equivalent, canonical_raw, is_golay_type
-from nsq import golay
+from nsq import _engine, golay
 from nsq.golay import (
     GolayError,
     GolayPair,
-    _leads_its_orbit,
     embed,
     golay_pairs,
     golay_type_class_count,
@@ -14,22 +14,27 @@ from nsq.golay import (
 )
 from nsq.quadcodec import encode_quadruple
 from nsq.search import enumerate_classes
+from nsq.tables import load_tables
 
 
 def golay_class_codes(n: int) -> set[tuple[str, str]]:
-    """Canonical code pairs of every Golay-type class, for cross-checks."""
-    return golay_class_codes_of(golay_pairs(n))
-
-
-def golay_class_codes_of(pairs) -> set[tuple[str, str]]:
-    """Canonical code pairs met by both embeddings of every given pair."""
+    """Canonical code pairs met by both embeddings of every ordered pair:
+    those of every Golay-type class, for cross-checks."""
     codes = set()
-    for pair in pairs:
+    for pair in golay_pairs(n):
         for quad in embed(pair):
             canon = NormalQuadruple.from_raw(canonical_raw(quad.raw()))
             p, q = encode_quadruple(canon)
             codes.add((p.text, q.text))
     return codes
+
+
+def leads_its_orbit(pair: GolayPair) -> bool:
+    """Whether the pair is the one member of its orbit under
+    G = {(+-A, +-B), (+-B, +-A)} with a_1 = b_1 = a_n = +1 and b_n = -1
+    (one per orbit for n >= 2; none at n = 1)."""
+    a, b = pair.a, pair.b
+    return a[0] == b[0] == a[-1] == 1 and b[-1] == -1
 
 
 # Ordered pair counts frozen from the exhaustive search.
@@ -112,11 +117,26 @@ class TestClassCounts:
     @pytest.mark.parametrize("n", range(2, 23))
     def test_orbit_leaders_are_one_pair_in_eight(self, n):
         pairs = golay_pairs(n)
-        leaders = [pair for pair in pairs if _leads_its_orbit(pair)]
+        leaders = [pair for pair in pairs if leads_its_orbit(pair)]
         assert 8 * len(leaders) == len(pairs)
+        assert set(golay._orbit_leaders(n, 1)) == set(leaders)
 
     @pytest.mark.parametrize("n", range(1, 23))
-    def test_count_equals_the_all_pairs_count(self, n, monkeypatch):
-        pairs = golay_pairs(n)
-        monkeypatch.setattr(golay, "golay_pairs", lambda n, workers=1: pairs)
-        assert golay_type_class_count(n) == len(golay_class_codes_of(pairs))
+    def test_count_equals_the_all_pairs_count(self, n):
+        assert golay_type_class_count(n) == len(golay_class_codes(n))
+
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_count_matches_the_table(self, n):
+        assert golay_type_class_count(n) == load_tables().counts[n].gol
+
+    def test_repeated_leader_is_refused(self, monkeypatch):
+        search = _engine.search_golay
+
+        def twice(n, workers=1):
+            ((a, b),) = search(n, workers)
+            return [(np.concatenate([a, a[:1]]), np.concatenate([b, b[:1]]))]
+
+        monkeypatch.setattr(_engine, "search_golay", twice)
+        for call in (golay_pairs, golay_type_class_count):
+            with pytest.raises(GolayError, match="leader twice"):
+                call(8)
