@@ -67,7 +67,6 @@ over one process pool when asked to, and hand back plain +1/-1 sign rows
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -702,7 +701,7 @@ def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
 # only from n = 25 (NS) or past 20 (Golay), but it keeps the pool from 17
 # up: the NS search then runs in the workers, beside the main process's
 # leaf checks rather than on top of them, and no process peaks as high
-# (`nsq search --n 19`: 30.9 MB with 2 workers, 34.8 MB in one process).
+# (`nsq search --n 19`: 30.2 MB with 2 workers, 33.3 MB in one process).
 POOL_MIN_N = 17
 
 
@@ -742,6 +741,8 @@ def _search(n: int, tracks, workers: int):
     out one at a time as workers come free; the parts are merged in
     shard order."""
     if workers > 1 and n >= POOL_MIN_N:
+        import multiprocessing
+
         shards = workers * 4
         jobs = [(n, tracks, (i, shards)) for i in range(shards)]
         with multiprocessing.Pool(workers) as pool:

@@ -2,24 +2,37 @@
 
 Exit codes: 0 success (known discrepancies only produce warnings),
 1 verification findings beyond the allowlist, 2 usage errors.
+
+Each handler imports the modules its command runs, and nothing else is
+imported up front, so a launch pays only for the command it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .core import BinarySeq, SequenceError, npaf, three_squares_feasible
-from .equivalence import canonicalize_with_distance
-from .golay import GolayError, golay_pairs, golay_type_class_count
-from .group import verify_relations
-from .quadcodec import CodeError, decode_quadruple, encode_quadruple, parse_code
-from .search import enumerate_classes, summarize
-from .tables import TableError, diff_against_search, load_allowlist, load_tables, verify_tables
-
 USAGE_ERROR = 2
+
+# Library calls the handlers look up on this module when they run, so a
+# caller may replace them here (perfbench/nsq_trace.py wraps each one to
+# time it).  Each resolves through the lazy package namespace, which
+# imports its home module on first access.
+_CALLS = ("enumerate_classes", "golay_type_class_count", "verify_tables", "verify_relations")
+_lib = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _CALLS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
+
+
+def _print_json(payload) -> None:
+    import json
+
+    print(json.dumps(payload))
 
 
 def _threads(value: int | None) -> int:
@@ -46,7 +59,9 @@ def _threads(value: int | None) -> int:
 
 
 def _cmd_search(args) -> int:
-    records = enumerate_classes(args.n, workers=_threads(args.threads))
+    from .core import three_squares_feasible
+
+    records = _lib.enumerate_classes(args.n, workers=_threads(args.threads))
     if args.format == "json":
         payload = {
             "n": args.n,
@@ -55,7 +70,7 @@ def _cmd_search(args) -> int:
                 for r in records
             ],
         }
-        print(json.dumps(payload))
+        _print_json(payload)
         return 0
     if not records and not three_squares_feasible(args.n):
         print(f"# no classes: {2 * args.n} is not a sum of three squares", file=sys.stderr)
@@ -68,13 +83,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_summary(args) -> int:
+    from .search import summarize
+
     rows = summarize(args.lo, args.hi, workers=_threads(args.threads))
     if args.format == "json":
-        print(
-            json.dumps(
-                {"rows": [{"n": n, "equ": e, "gol": g, "spo": s} for n, e, g, s in rows]}
-            )
-        )
+        _print_json({"rows": [{"n": n, "equ": e, "gol": g, "spo": s} for n, e, g, s in rows]})
         return 0
     for n, equ, gol, spo in rows:
         print(f"{n} {equ} {gol} {spo}")
@@ -82,6 +95,9 @@ def _cmd_summary(args) -> int:
 
 
 def _cmd_canon(args) -> int:
+    from .equivalence import canonicalize_with_distance
+    from .quadcodec import decode_quadruple, encode_quadruple, parse_code
+
     p, q = parse_code(f"{args.pcode} {args.qcode}", n=args.n)
     quad = decode_quadruple(p, q)
     canon, steps = canonicalize_with_distance(quad)
@@ -92,6 +108,8 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    from .quadcodec import decode_quadruple, parse_code
+
     p, q = parse_code(f"{args.pcode} {args.qcode}", n=args.n)
     quad = decode_quadruple(p, q)
     print(f"n = {quad.n}")
@@ -103,15 +121,19 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_npaf(args) -> int:
+    from .core import BinarySeq, npaf
+
     seq = BinarySeq.parse(args.sequence)
     print(" ".join(str(v) for v in npaf(seq)))
     return 0
 
 
 def _cmd_verify_tables(args) -> int:
+    from .tables import load_allowlist, load_tables
+
     tables = load_tables(args.data)
     allowlist = load_allowlist(args.allowlist) if args.allowlist else load_allowlist()
-    report = verify_tables(tables, allowlist)
+    report = _lib.verify_tables(tables, allowlist)
     for finding in report.findings:
         print(finding)
     print(f"# verified {report.checked_rows} rows")
@@ -128,7 +150,7 @@ def _cmd_verify_relations(args) -> int:
     lengths = [args.n] if args.n is not None else [4, 5]
     failed = False
     for n in lengths:
-        for check in verify_relations(n):
+        for check in _lib.verify_relations(n):
             print(f"n={check.n} {check.status}: {check.name}")
             if check.status == "FAIL":
                 failed = True
@@ -137,19 +159,17 @@ def _cmd_verify_relations(args) -> int:
 
 def _cmd_golay(args) -> int:
     if args.count_classes:
-        count = golay_type_class_count(args.n, workers=_threads(args.threads))
+        count = _lib.golay_type_class_count(args.n, workers=_threads(args.threads))
         if args.format == "json":
-            print(json.dumps({"n": args.n, "golay_type_classes": count}))
+            _print_json({"n": args.n, "golay_type_classes": count})
         else:
             print(count)
         return 0
+    from .golay import golay_pairs
+
     pairs = golay_pairs(args.n, workers=_threads(args.threads))
     if args.format == "json":
-        print(
-            json.dumps(
-                {"n": args.n, "pairs": [[str(p.a), str(p.b)] for p in pairs]}
-            )
-        )
+        _print_json({"n": args.n, "pairs": [[str(p.a), str(p.b)] for p in pairs]})
         return 0
     for p in pairs:
         print(f"{p.a} {p.b}")
@@ -158,6 +178,8 @@ def _cmd_golay(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    from .tables import diff_against_search, load_allowlist
+
     allow = load_allowlist(args.allowlist) if args.allowlist else load_allowlist()
     diff = diff_against_search(args.n, workers=_threads(args.threads))
     known = any(n == args.n and check == "search-match" for n, _, check in allow)
@@ -244,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CodeError, SequenceError, GolayError, TableError, ValueError) as exc:
+    except ValueError as exc:  # CodeError, SequenceError, GolayError, TableError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -10,15 +10,12 @@ through the independent sequence-level predicates before it is emitted.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import BinarySeq, NormalQuadruple, is_normal, three_squares_feasible
 from .equivalence import canonical_raw, canonical_violation, is_golay_type
 from .quadcodec import decode_quadruple, encode_quadruple, parse_code
-
-log = logging.getLogger(__name__)
 
 
 class SearchError(RuntimeError):
@@ -68,7 +65,11 @@ def enumerate_classes(n: int, workers: int = 1) -> list[ClassRecord]:
         raise ValueError("n must be at least 1")
     _check_budget(n)
     if not three_squares_feasible(n):
-        log.info("NS(%d) is empty: %d is not a sum of three squares", n, 2 * n)
+        import logging
+
+        logging.getLogger(__name__).info(
+            "NS(%d) is empty: %d is not a sum of three squares", n, 2 * n
+        )
         return []
     from . import _engine  # numpy loads only when a search runs
 

@@ -269,6 +269,65 @@ class TestThreadsFlag:
         assert code == 2 and "at most the CPU count, 1" in err
 
 
+class TestUsageErrors:
+    # Each library error class subclasses ValueError, which main reports
+    # as a usage error.
+    @pytest.mark.parametrize("argv, message", [
+        (("canon", "99", "99"), "cannot parse '99 99' as a code pair"),  # CodeError
+        (("npaf", "+x"), "unexpected character 'x' in sequence '+x'"),  # SequenceError
+        (("golay", "--n", "27"), "exhaustive pair search is budgeted up to n = 26"),  # GolayError
+        (("verify-tables", "--data", "{missing}"), "cannot read {missing}"),  # TableError
+    ])
+    def test_library_error_exits_2(self, capsys, tmp_path, argv, message):
+        missing = tmp_path / "missing"
+        code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message.format(missing=missing)}")
+
+
+# Calls main looks up on nsq.cli when it runs, so that they can be
+# replaced there (the benchmark tracer wraps them to time each call).
+MODULE_CALLS = [
+    ("enumerate_classes", "search", ("search", "--n", "4")),
+    ("golay_type_class_count", "golay", ("golay", "--n", "4", "--count-classes")),
+    ("verify_tables", "tables", ("verify-tables",)),
+    ("verify_relations", "group", ("verify-relations", "--n", "4")),
+]
+
+
+class TestModuleCalls:
+    @pytest.mark.parametrize("name, home, argv", MODULE_CALLS)
+    def test_main_calls_the_replacement(self, capsys, monkeypatch, name, home, argv):
+        import nsq.cli
+
+        real = getattr(nsq.cli, name)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nsq.cli, name, spy)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name, home, argv", MODULE_CALLS)
+    def test_attribute_is_the_library_function(self, name, home, argv):
+        # Not a forwarder: a wrapper on the home module must not run twice.
+        import importlib
+
+        import nsq.cli
+
+        assert getattr(nsq.cli, name) is getattr(importlib.import_module(f"nsq.{home}"), name)
+
+    def test_unknown_attribute(self):
+        import nsq.cli
+
+        with pytest.raises(AttributeError, match="no attribute 'golay_pairs'"):
+            nsq.cli.golay_pairs
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         import subprocess
