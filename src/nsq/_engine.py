@@ -62,14 +62,16 @@ pair of the solution, one row of n - n//2 raw quads, the central (odd n)
 last.  This module is the only one that knows the raw ids or runs worker
 processes: search_normal and search_golay split a search into shards
 over one process pool when asked to, and hand back plain +1/-1 sign rows
-(see _sign_rows), never raw ids.
+(see _sign_rows), never raw ids.  A search's tables depend only on n and
+the tracks (_prepare): run_search builds them on every call, and a pool
+worker once, for all the shards it runs (_search).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 # The power test runs small matrix products.  A multithreaded OpenBLAS
 # spreads each over every core and keeps its threads spinning between
@@ -589,75 +591,122 @@ def _psd_keep(signs: np.ndarray, n: int, tables: list[np.ndarray]) -> np.ndarray
     return keep
 
 
-def _sweep_and_place(n: int, tracks, shard: tuple[int, int]) -> dict:
-    """The NS search, A first.  The repeated track (A;A) is swept alone
-    over its prefix tables with its row sums pruned (_sweep); each
-    completed A must pass the power test (_psd_keep); and the surviving
-    A's, in batches of at least CHUNK (or what is left at the end), are
-    the root states of the search of the (C;D) track, each with p = 2 N_A
-    and A's row sums, completed by _expand on _levels(n, cd, solutions).
-    Every test on A is necessary and the two prefix machines are
-    independent, so the leaves are exactly those of the joint search of
-    both tracks, in another order."""
+def _a_values(solutions: np.ndarray) -> np.ndarray:
+    """The distinct first entries of the solutions, sorted, as a (values,
+    1) column: np.unique(solutions[:, :1], axis=0), by a sort and one
+    comparison, since np.unique imports numpy.ma (15 ms of a launch)."""
+    a = np.sort(solutions[:, 0])
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first][:, None]
+
+
+def _sweep_and_place(n: int, tracks) -> Callable[[tuple[int, int]], dict]:
+    """The NS search, A first, as a function of the shard, its tables
+    built once.  The repeated track (A;A) is swept alone over its prefix
+    tables with its row sums pruned (_sweep); each completed A must pass
+    the power test (_psd_keep); and the surviving A's, in batches of at
+    least CHUNK (or what is left at the end), are the root states of the
+    search of the (C;D) track, each with p = 2 N_A and A's row sums,
+    completed by _expand on _levels(n, cd, solutions).  Every test on A
+    is necessary and the two prefix machines are independent, so the
+    leaves are exactly those of the joint search of both tracks, in
+    another order."""
     aa, cd = tracks
     m = n // 2
     solutions = _solutions(n, (2, 1, 1))
-    sweep_levels = _levels(n, aa, np.unique(solutions[:, :1], axis=0), rows=1)
+    sweep_levels = _levels(n, aa, _a_values(solutions), rows=1)
     place_levels = _levels(n, cd, solutions)
     tables = _psd_tables(n)
     strides = _row_strides(n, solutions.shape[1])
     open_rows = n * int(strides[1:].sum())
-    held: list[_Block] = []  # completed A's that passed, not yet placed
-    waiting = 0  # how many A's held holds
-    leaves: list[dict] = []
 
-    def place() -> None:
-        nonlocal waiting
-        waiting = 0
-        a_syms = np.concatenate([b.syms for b in held], axis=1)
-        plain = np.concatenate([b.plain for b in held]) * strides[0] + open_rows
-        alt = np.concatenate([b.alt for b in held]) * strides[0] + open_rows
-        held.clear()
-        a = _spell(a_syms, n, TOP_LEFT, TOP_RIGHT)
-        count = a.shape[1]
-        p = np.zeros((n, count), dtype=np.int16)
-        for i in range(1, n):
-            p[i] = 2 * (a[:-i] * a[i:]).sum(axis=0, dtype=np.int16)
-        root = _Block(
-            p,
-            np.zeros((0, count), dtype=np.int8),
-            np.zeros(count, dtype=np.int8),
-            plain,
-            alt,
-            np.arange(count, dtype=np.int32),
-        )
+    def search(shard: tuple[int, int]) -> dict:
+        held: list[_Block] = []  # completed A's that passed, not yet placed
+        waiting = 0  # how many A's held holds
+        leaves: list[dict] = []
+
+        def place() -> None:
+            nonlocal waiting
+            waiting = 0
+            a_syms = np.concatenate([b.syms for b in held], axis=1)
+            plain = np.concatenate([b.plain for b in held]) * strides[0] + open_rows
+            alt = np.concatenate([b.alt for b in held]) * strides[0] + open_rows
+            held.clear()
+            a = _spell(a_syms, n, TOP_LEFT, TOP_RIGHT)
+            count = a.shape[1]
+            p = np.zeros((n, count), dtype=np.int16)
+            for i in range(1, n):
+                p[i] = 2 * (a[:-i] * a[i:]).sum(axis=0, dtype=np.int16)
+            root = _Block(
+                p,
+                np.zeros((0, count), dtype=np.int8),
+                np.zeros(count, dtype=np.int8),
+                plain,
+                alt,
+                np.arange(count, dtype=np.int32),
+            )
+            _descend(
+                root, 0, n - m,
+                lambda block, k: _expand(block, n, k, cd, place_levels[k]),
+                lambda block: leaves.append(
+                    {"syms": [a_syms.take(block.origin, axis=1).T, block.syms.T]}
+                ),
+            )
+
+        def admit(block: _Block) -> None:
+            # The last sweep level holds up to 4 * CHUNK A's; testing CHUNK
+            # at a time keeps the float arrays of the power test small.
+            nonlocal waiting
+            for lo in range(0, len(block), CHUNK):
+                part = block.take(slice(lo, lo + CHUNK))
+                keep = _psd_keep(_spell(part.syms, n, TOP_LEFT, TOP_RIGHT, PSD_FLOAT), n, tables)
+                if len(keep):
+                    held.append(part.take(keep))
+                    waiting += len(keep)
+            if waiting >= CHUNK:
+                place()
+
         _descend(
-            root, 0, n - m,
-            lambda block, k: _expand(block, n, k, cd, place_levels[k]),
-            lambda block: leaves.append({"syms": [a_syms.take(block.origin, axis=1).T, block.syms.T]}),
+            _root(n, 1), 0, n - m,
+            lambda block, k: _sweep(block, n, k, aa, sweep_levels[k]),
+            admit, shard, min(3, m),
         )
-
-    def admit(block: _Block) -> None:
-        # The last sweep level holds up to 4 * CHUNK A's; testing CHUNK at
-        # a time keeps the float arrays of the power test small.
-        nonlocal waiting
-        for lo in range(0, len(block), CHUNK):
-            part = block.take(slice(lo, lo + CHUNK))
-            keep = _psd_keep(_spell(part.syms, n, TOP_LEFT, TOP_RIGHT, PSD_FLOAT), n, tables)
-            if len(keep):
-                held.append(part.take(keep))
-                waiting += len(keep)
-        if waiting >= CHUNK:
+        if held:
             place()
+        return _merge_leaves(leaves, tracks, n)
 
-    _descend(
-        _root(n, 1), 0, n - m,
-        lambda block, k: _sweep(block, n, k, aa, sweep_levels[k]),
-        admit, shard, min(3, m),
-    )
-    if held:
-        place()
-    return _merge_leaves(leaves, tracks, n)
+    return search
+
+
+def _place_track(n: int, tracks) -> Callable[[tuple[int, int]], dict]:
+    """The search of one track (Golay) as a function of the shard, its
+    levels built once: the track placed column by column by _descend."""
+    (track,) = tracks
+    m = n // 2
+    levels = _levels(n, track, _solutions(n, (1, 1)))
+
+    def search(shard: tuple[int, int]) -> dict:
+        leaves: list[dict] = []
+        # bounds[n - m] is identically zero, so the last level's survivors
+        # satisfy every equation: they are the leaves.
+        _descend(
+            _root(n, 2), 0, n - m,
+            lambda block, k: _expand(block, n, k, track, levels[k]),
+            lambda block: leaves.append({"syms": [block.syms.T]}),
+            shard, min(3, m),
+        )
+        return _merge_leaves(leaves, tracks, n)
+
+    return search
+
+
+def _prepare(n: int, tracks) -> Callable[[tuple[int, int]], dict]:
+    """The search the tracks define, with every table it reads built from
+    n and the tracks (the row-sum solutions, the levels, and for NS the
+    power test's angles), as a function of the shard.  A pool worker
+    builds it once and runs each of its shards on it (_shard)."""
+    return (_sweep_and_place if len(tracks) == 2 else _place_track)(n, tracks)
 
 
 def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
@@ -673,35 +722,25 @@ def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
     golay_tracks), so the leaves are the orbit leaders.  shard=(i, w) keeps
     every w-th state of the frontier after level 3 (level n//2 when that
     is shallower) of the sweep, or of the search, so the w shards
-    i = 0..w-1 partition it.
+    i = 0..w-1 partition it.  Every call builds the search's tables anew
+    (_prepare).
     """
-    if len(tracks) == 2:
-        return _sweep_and_place(n, tracks, shard)
-    (track,) = tracks
-    m = n // 2
-    levels = _levels(n, track, _solutions(n, (1, 1)))
-    leaves: list[dict] = []
-    # bounds[n - m] is identically zero, so the last level's survivors
-    # satisfy every equation: they are the leaves.
-    _descend(
-        _root(n, 2), 0, n - m,
-        lambda block, k: _expand(block, n, k, track, levels[k]),
-        lambda block: leaves.append({"syms": [block.syms.T]}),
-        shard, min(3, m),
-    )
-    return _merge_leaves(leaves, tracks, n)
+    return _prepare(n, tracks)(shard)
 
 
 # Searches shorter than this run in-process whatever the worker count.
-# Measured in-process on 2 cores (median of 5 runs, 1 vs 2 workers): NS
-# n = 20 took 0.048 / 0.091 s, 23 0.170 / 0.173 s, 24 0.130 / 0.139 s,
-# 25 1.67 / 0.93 s and 26 0.94 / 0.61 s; Golay, one member per orbit,
-# n = 17 0.010 / 0.029 s, 18 0.010 / 0.032 s, 20 0.066 / 0.066 s and
-# (median of 3) 26 2.38 / 1.55 s.  So a search gains time from the pool
-# only from n = 25 (NS) or past 20 (Golay), but it keeps the pool from 17
-# up: the NS search then runs in the workers, beside the main process's
-# leaf checks rather than on top of them, and no process peaks as high
-# (`nsq search --n 19`: 30.2 MB with 2 workers, 33.3 MB in one process).
+# Measured in-process on a 2-core Xeon (median of 7 runs, 5 for NS
+# n = 25 and Golay n = 20, 3 for Golay n = 26; 1 vs 2 workers): NS n = 19
+# took 0.026 / 0.085 s, 20 0.034 / 0.086 s, 23 0.152 / 0.123 s and
+# 25 1.38 / 0.77 s; Golay, one member per orbit, n = 20 0.077 / 0.082 s
+# and 26 2.96 / 1.77 s.  A pool adds a few tens of ms to a search: the
+# workers start, each builds the search's tables, and each of the
+# workers * 4 shards re-runs the shallow levels and places (C;D) on its
+# own few A's.  So a search gains time from the pool from about n = 23
+# (NS) or past 20 (Golay), but it keeps the pool from 17 up: the NS
+# search then runs in the workers, beside the main process's leaf checks
+# rather than on top of them, and no process peaks as high (`nsq search
+# --n 19`: 30.2 MB with 2 workers, 32.3 MB in one process).
 POOL_MIN_N = 17
 
 
@@ -730,23 +769,50 @@ def _sign_rows(leaves: dict, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def _shard(job) -> tuple[int, dict]:
-    n, tracks, shard = job
-    return shard[0], run_search(n, tracks, shard)
+# What a pool worker searches, set by _start_worker: n, the tracks, the
+# shard count and, from the worker's first shard on, the search itself.
+_worker: dict = {}
+
+
+def _start_worker(n: int, tracks, shards: int) -> None:
+    """Pool initializer.  The search's tables are built on the worker's
+    first shard (_shard), in the worker: the parent, which holds the
+    leaves, never holds them, and an error in building them reaches the
+    parent as that shard's error (a failing initializer would have the
+    pool start new workers without end)."""
+    _worker.clear()
+    _worker.update(n=n, tracks=tracks, shards=shards)
+
+
+def _shard(i: int) -> tuple[int, dict]:
+    if "search" not in _worker:
+        _worker["search"] = _prepare(_worker["n"], _worker["tracks"])
+    return i, _worker["search"]((i, _worker["shards"]))
 
 
 def _search(n: int, tracks, workers: int):
-    """The sign rows of every leaf, searched in this process or split
-    into workers * 4 shards over one pool of workers processes, handed
-    out one at a time as workers come free; the parts are merged in
-    shard order."""
+    """The sign rows of every leaf, searched in this process by
+    run_search, or split into workers * 4 shards over one pool of
+    workers processes, handed out one at a time as workers come free;
+    the parts are merged in shard order.
+
+    Each worker pays the pool's fixed costs once: it builds the tables
+    on its first shard and runs its later shards on them, and a job is
+    just the shard's index.  The parent's objects are frozen out of the
+    garbage collector while the pool runs (gc.freeze), so a forked
+    worker's collections do not touch, and copy, the pages it shares
+    with the parent."""
     if workers > 1 and n >= POOL_MIN_N:
+        import gc
         import multiprocessing
 
         shards = workers * 4
-        jobs = [(n, tracks, (i, shards)) for i in range(shards)]
-        with multiprocessing.Pool(workers) as pool:
-            parts = dict(pool.imap_unordered(_shard, jobs))
+        gc.freeze()
+        try:
+            with multiprocessing.Pool(workers, _start_worker, (n, tracks, shards)) as pool:
+                parts = dict(pool.imap_unordered(_shard, range(shards)))
+        finally:
+            gc.unfreeze()
         leaves = _merge_leaves([parts[i] for i in range(shards)], tracks, n)
     else:
         leaves = run_search(n, tracks)

@@ -416,4 +416,10 @@ def is_golay_type(quad: NormalQuadruple) -> bool:
     if not is_normal(quad):
         raise SequenceError("Golay type is only defined for valid quadruples")
     _, c, d = quad.raw()
+    return _golay_type(c, d)
+
+
+def _golay_type(c: tuple[int, ...], d: tuple[int, ...]) -> bool:
+    """is_golay_type for a quadruple with these C and D that the caller
+    has already checked with is_normal."""
     return any(x == y for x, y in _cd_set(c, d))

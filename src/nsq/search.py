@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import BinarySeq, NormalQuadruple, is_normal, three_squares_feasible
-from .equivalence import canonical_raw, canonical_violation, is_golay_type
+from .equivalence import _golay_type, canonical_raw, canonical_violation
+from .equivalence import is_golay_type  # noqa: F401  (perfbench/nsq_trace.py wraps it here)
 from .quadcodec import decode_quadruple, encode_quadruple, parse_code
 
 
@@ -87,9 +88,8 @@ def enumerate_classes(n: int, workers: int = 1) -> list[ClassRecord]:
             raise SearchError(f"duplicate class {p_text} {q_text}")
         previous = (p_text, q_text)
         _verified(quad, p_text, q_text)
-        records.append(
-            ClassRecord(n, rank, p_text, q_text, is_golay_type(quad))
-        )
+        golay = _golay_type(quad.c.terms, quad.d.terms)  # normal, checked above
+        records.append(ClassRecord(n, rank, p_text, q_text, golay))
     return records
 
 

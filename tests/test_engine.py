@@ -5,22 +5,21 @@ broadcast of their predicate, the correlation bounds against a count of
 the undetermined products, the per-level frontier sizes of the joint
 search and of the A sweep and (C;D) placement, the A-first NS search and
 the chunked depth-first traversal against the joint search of both
-tracks (level-synchronous, or the same chunked descent), the one-track
-shift-major kernel against the row-major one it replaced, the track
-tables against the symbol scans they replaced, the central column held
-as a quad, its level of the kernel against a loop over the central
-combinations, and the power test against the bundled representatives and
-its float error bound.
+tracks (level-synchronous, or chunked depth first), the one-track kernel
+against the joint kernel it replaced, the track tables against the
+symbol scans they replaced, the central column held as a quad, its level
+of the kernel against a loop over the central combinations, and the
+power test against the bundled representatives and its float error
+bound.
 
 The library places one track per search.  The joint search of NS, both
 tracks placed together column by column, lives here as the oracle of the
-A-first search: joint_levels, the row-major expand_oracle and
-central_leaves_oracle, driven level by level (level_search) or by the
-library's chunked descent (joint_search).  Likewise the Golay search,
-which the library runs on one member of each pair orbit, has the
-unrestricted track (full_golay_tracks) as its oracle: the engine's
-leaves are its orbit leaders, and golay_pairs, which unfolds them, is
-every one of its pairs."""
+A-first search: joint_levels, expand_oracle and central_leaves_oracle,
+driven level by level (level_search) or depth first (joint_search).
+Likewise the Golay search, which the library runs on one member of each
+pair orbit, has the unrestricted track (full_golay_tracks) as its
+oracle: the engine's leaves are its orbit leaders, and golay_pairs,
+which unfolds them, is every one of its pairs."""
 
 import itertools
 import tracemalloc
@@ -51,10 +50,10 @@ from nsq._engine import (
     _FORBIDDEN,
     _SS_FLAT,
     _bounds,
-    _descend,
     _expand,
     _levels,
     _merge_leaves,
+    _prepare,
     _psd_keep,
     _psd_tables,
     _reach_table,
@@ -215,9 +214,10 @@ def test_bounds_match_product_count(n):
 
 
 @dataclass
-class RowBlock:
-    """A block held row-major, one row per state: p is (states, n), syms
-    per track (states, pairs) and fst (states, tracks)."""
+class JointBlock:
+    """A block of any number of tracks placed together, held shift-major
+    like the library's, one column per state: p is (n, states), syms per
+    track (pairs, states) and fst (tracks, states)."""
 
     p: np.ndarray
     syms: list[np.ndarray]
@@ -225,24 +225,18 @@ class RowBlock:
     plain: np.ndarray
     alt: np.ndarray
 
-    def take(self, idx) -> "RowBlock":
-        return RowBlock(
-            self.p[idx], [s[idx] for s in self.syms], self.fst[idx], self.plain[idx], self.alt[idx]
+    def take(self, idx) -> "JointBlock":
+        return JointBlock(
+            self.p[:, idx], [s[:, idx] for s in self.syms], self.fst[:, idx], self.plain[idx], self.alt[idx]
         )
 
     def __len__(self) -> int:
-        return len(self.p)
+        return self.p.shape[1]
 
 
-def row_major(block) -> RowBlock:
-    """A library block of one track, as a row-major block of that track."""
-    return RowBlock(
-        np.ascontiguousarray(block.p.T),
-        [np.ascontiguousarray(block.syms.T)],
-        block.fst[:, None],
-        block.plain,
-        block.alt,
-    )
+def joint_block(block) -> JointBlock:
+    """A library block of one track, as a joint block of that track."""
+    return JointBlock(block.p, [block.syms], block.fst[None], block.plain, block.alt)
 
 
 class JointLevel(NamedTuple):
@@ -287,57 +281,57 @@ def joint_levels(n: int) -> list[JointLevel | None]:
     return levels
 
 
-def expand_oracle(block: RowBlock, n: int, k: int, tracks, level: JointLevel) -> RowBlock | None:
-    """The row-major kernel the shift-major _expand replaced, for any
+def expand_oracle(block: JointBlock, n: int, k: int, tracks, level: JointLevel) -> JointBlock | None:
+    """The kernel that the library's one-track _expand replaced, for any
     number of tracks placed together: the exact check as SS looked up
     against pair 1 plus a separate allow mask per track, the survivors
-    taken by a 2-D nonzero, and the correlation update one strided column
-    per earlier pair.  It places pairs only, no central column."""
+    taken from the (state, combination) mask in one pass, and the
+    correlation update one row per earlier pair and track.  It places
+    pairs only, no central column."""
     units = level.units
     if k == 1:
-        delta = sum(SC[u] for u in units)[None, :]
+        delta = sum(SC.take(u) for u in units)[None, :]
     else:
-        delta = sum(SS[:, u][block.syms[t][:, 0]] for t, u in enumerate(units))
-    mask = block.p[:, n - k][:, None] + delta == 0
+        delta = sum(SS[:, u].take(block.syms[t][0], axis=0) for t, u in enumerate(units))
+    mask = block.p[n - k][:, None] + delta == 0
     for t, track in enumerate(tracks):
-        mask &= track.allow[:, units[t]][block.fst[:, t]]
-    rows_idx, combo_idx = np.nonzero(mask)
+        mask &= track.allow[:, units[t]].take(block.fst[t], axis=0)
+    rows_idx, combo_idx = np.divmod(np.flatnonzero(mask), len(units[0]))
 
-    plain = block.plain[rows_idx] + level.plain[combo_idx]
-    alt = block.alt[rows_idx] + level.alt[combo_idx]
-    keep = np.nonzero(level.reach[plain] & level.reach[alt])[0]
+    plain = block.plain.take(rows_idx) + level.plain.take(combo_idx)
+    alt = block.alt.take(rows_idx) + level.alt.take(combo_idx)
+    keep = np.flatnonzero(level.reach.take(plain) & level.reach.take(alt))
     if not len(keep):
         return None
-    rows_idx, combo_idx = rows_idx[keep], combo_idx[keep]
-    plain, alt = plain[keep], alt[keep]
+    rows_idx, combo_idx = rows_idx.take(keep), combo_idx.take(keep)
+    plain, alt = plain.take(keep), alt.take(keep)
 
-    selected = [u[combo_idx] for u in units]
-    p_new = block.p[rows_idx]
+    selected = [u.take(combo_idx) for u in units]
+    p_new = block.p.take(rows_idx, axis=1)
     for t in range(len(tracks)):
         u = selected[t]
         for j in range(1, k):
-            pair = 16 * block.syms[t][rows_idx, j - 1].astype(np.intp) + u
-            p_new[:, k - j] += _DD_FLAT[pair]
-            p_new[:, n + 1 - j - k] += _SS_FLAT[pair]
-        p_new[:, n + 1 - 2 * k] += SC[u]
-    keep = np.nonzero((np.abs(p_new[:, 1:]) <= level.bound).all(axis=1))[0]
+            pair = 16 * block.syms[t][j - 1].take(rows_idx).astype(np.intp) + u
+            p_new[k - j] += _DD_FLAT.take(pair)
+            p_new[n + 1 - j - k] += _SS_FLAT.take(pair)
+        p_new[n + 1 - 2 * k] += SC.take(u)
+    keep = np.flatnonzero((np.abs(p_new[1:]) <= level.bound[:, None]).all(axis=0))
     if not len(keep):
         return None
-    rows_idx, p_new, plain, alt = rows_idx[keep], p_new[keep], plain[keep], alt[keep]
-    selected = [u[keep] for u in selected]
+    rows_idx, p_new, plain, alt = rows_idx.take(keep), p_new.take(keep, axis=1), plain.take(keep), alt.take(keep)
+    selected = [u.take(keep) for u in selected]
 
     syms_new = [
-        np.concatenate([block.syms[t][rows_idx], selected[t][:, None]], axis=1)
+        np.concatenate([block.syms[t].take(rows_idx, axis=1), selected[t][None]])
         for t in range(len(tracks))
     ]
     fst_new = np.stack(
-        [track.trans[block.fst[rows_idx, t], selected[t]] for t, track in enumerate(tracks)],
-        axis=1,
+        [track.trans[block.fst[t].take(rows_idx), selected[t]] for t, track in enumerate(tracks)]
     )
-    return RowBlock(p_new, syms_new, fst_new, plain, alt)
+    return JointBlock(p_new, syms_new, fst_new, plain, alt)
 
 
-def central_leaves_oracle(block: RowBlock, n: int, tracks) -> dict:
+def central_leaves_oracle(block: JointBlock, n: int, tracks) -> dict:
     """The central-column step one combination at a time: for each
     (z_1..z_T), keep the states whose prefix states admit it and whose
     whole correlation table vanishes once it is placed."""
@@ -346,38 +340,40 @@ def central_leaves_oracle(block: RowBlock, n: int, tracks) -> dict:
     for zs in itertools.product(range(4), repeat=len(tracks)):
         admitted = np.ones(len(block), dtype=bool)
         for t, track in enumerate(tracks):
-            admitted &= track.central[block.fst[:, t], zs[t]]
-        idx = np.nonzero(admitted)[0]
-        p_c = block.p[idx]
+            admitted &= track.central[block.fst[t], zs[t]]
+        idx = np.flatnonzero(admitted)
+        p_c = block.p.take(idx, axis=1)
         for t in range(len(tracks)):
+            products = DD[:, 5 * zs[t]]
             for j in range(1, m + 1):
-                p_c[:, m + 1 - j] += DD[block.syms[t][idx, j - 1], 5 * zs[t]]
-        idx = idx[(p_c[:, 1:] == 0).all(axis=1)]
-        syms = [np.insert(block.syms[t][idx], m, 5 * z, axis=1) for t, z in enumerate(zs)]
-        parts.append({"syms": syms})
+                p_c[m + 1 - j] += products.take(block.syms[t][j - 1].take(idx))
+        idx = idx[(p_c[1:] == 0).all(axis=0)]
+        if len(idx):
+            syms = [np.insert(block.syms[t][:, idx].T, m, 5 * z, axis=1) for t, z in enumerate(zs)]
+            parts.append({"syms": syms})
     return _merge_leaves(parts, tracks, n)
 
 
-def pair_complete_leaves(block: RowBlock, n: int, tracks) -> dict:
+def pair_complete_leaves(block: JointBlock, n: int, tracks) -> dict:
     """The leaves below a block with every pair placed: the block itself
     for even n, whose last bounds are zero; for odd n, the states that
     take a central column (central_leaves_oracle)."""
     if n % 2:
         return central_leaves_oracle(block, n, tracks)
-    return {"syms": list(block.syms)}
+    return {"syms": [syms.T for syms in block.syms]}
 
 
 def joint_kernel(n: int):
-    """The joint search of NS(n) as (root, expand, finish): the row-major
-    root with nothing placed, expand_oracle over joint_levels, and the
-    leaves of a pair-complete block."""
+    """The joint search of NS(n) as (root, expand, finish): the root with
+    nothing placed, expand_oracle over joint_levels, and the leaves of a
+    pair-complete block."""
     tracks = ns_tracks(n)
     levels = joint_levels(n)
     zero_sums = np.array([n * int(_row_strides(n, 3).sum())], dtype=np.int32)
-    root = RowBlock(
-        np.zeros((1, n), dtype=np.int16),
-        [np.zeros((1, 0), dtype=np.int8)] * 2,
-        np.zeros((1, 2), dtype=np.int8),
+    root = JointBlock(
+        np.zeros((n, 1), dtype=np.int16),
+        [np.zeros((0, 1), dtype=np.int8)] * 2,
+        np.zeros((2, 1), dtype=np.int8),
         zero_sums,
         zero_sums.copy(),
     )
@@ -411,7 +407,7 @@ def golay_kernel(n: int):
     return (
         _root(n, 2),
         lambda block, k: _expand(block, n, k, track, levels[k]),
-        lambda block: pair_complete_leaves(row_major(block), n, (track,)),
+        lambda block: pair_complete_leaves(joint_block(block), n, (track,)),
     )
 
 
@@ -433,13 +429,25 @@ def level_search(n: int, root, expand, finish, chunk: int = 1 << 15):
     return sizes, [finish(block) for block in blocks]
 
 
+def depth_first(block, k: int, last: int, expand, emit, chunk: int = CHUNK) -> None:
+    """The chunked depth-first traversal: expand the block, columns 1..k
+    placed, chunk states at a time, and search each chunk's output to the
+    end before the next; emit receives each block of column last."""
+    if block is None:
+        return
+    if k == last:
+        emit(block)
+        return
+    for lo in range(0, len(block), chunk):
+        depth_first(expand(block.take(slice(lo, lo + chunk)), k + 1), k + 1, last, expand, emit, chunk)
+
+
 def joint_search(n: int) -> dict:
-    """Both tracks of NS(n) placed together, column by column, in the
-    library's chunked recursive descent: the joint search, the oracle of
-    the A-first search."""
+    """Both tracks of NS(n) placed together, column by column, depth
+    first: the joint search, the oracle of the A-first search."""
     root, expand, finish = joint_kernel(n)
     leaves = []
-    _descend(root, 0, n // 2, expand, lambda block: leaves.append(finish(block)))
+    depth_first(root, 0, n // 2, expand, lambda block: leaves.append(finish(block)))
     return _merge_leaves(leaves, ns_tracks(n), n)
 
 
@@ -571,8 +579,11 @@ def test_run_search_matches_level_synchronous_oracle(kind, n):
 @pytest.mark.parametrize("n", range(1, 21))
 @pytest.mark.parametrize("kind", sorted(SEARCHES))
 def test_shards_partition_the_search(kind, n, shards):
+    # As in a pool worker, one prepared search runs every shard, in any
+    # order: each shard starts from nothing held.
     tracks = search_inputs(kind, n)
-    parts = [run_search(n, tracks, shard=(i, shards)) for i in range(shards)]
+    search = _prepare(n, tracks)
+    parts = [search((i, shards)) for i in reversed(range(shards))]
     assert leaf_rows(_merge_leaves(parts, tracks, n)) == oracle_leaves(kind, n)
 
 
@@ -583,7 +594,8 @@ def test_a_first_matches_joint_search_past_20(n):
     tracks = ns_tracks(n)
     want = leaf_rows(joint_search(n))
     assert leaf_rows(run_search(n, tracks)) == want
-    parts = [run_search(n, tracks, shard=(i, 8)) for i in range(8)]
+    search = _prepare(n, tracks)
+    parts = [search((i, 8)) for i in reversed(range(8))]
     assert leaf_rows(_merge_leaves(parts, tracks, n)) == want
 
 
@@ -686,8 +698,9 @@ def test_traversal_is_chunked_and_deepest_first(monkeypatch):
 def test_shift_major_kernel_matches_row_major_oracle(monkeypatch, kind, n):
     # Every chunk of a pair level the search expands (NS: the placement of
     # (C;D) on swept A's), through both kernels, its one track as a
-    # 1-tuple of tracks: the same survivors in the same order, each array
-    # the other's transpose.  The row-major kernel had no central level.
+    # 1-tuple of tracks: the same survivors in the same order, and the
+    # same arrays.  The oracle, first written row-major, has no central
+    # level.
     expanded = []
 
     def spy(block, n_, k, track, level):
@@ -695,11 +708,11 @@ def test_shift_major_kernel_matches_row_major_oracle(monkeypatch, kind, n):
         if 2 * k > n_:
             return got
         joint = JointLevel([level.units], level.plain, level.alt, level.reach, level.bound)
-        want = expand_oracle(row_major(block), n_, k, (track,), joint)
+        want = expand_oracle(joint_block(block), n_, k, (track,), joint)
         assert (got is None) == (want is None), k
         if got is not None:
-            for field in fields(RowBlock):
-                a, b = getattr(row_major(got), field.name), getattr(want, field.name)
+            for field in fields(JointBlock):
+                a, b = getattr(joint_block(got), field.name), getattr(want, field.name)
                 for x, y in zip(a, b) if field.name == "syms" else [(a, b)]:
                     assert x.dtype == y.dtype and np.array_equal(x, y), (k, field.name)
         expanded.append(k)
@@ -905,7 +918,7 @@ def test_central_table_matches_symbol_scan(monkeypatch, n):
     monkeypatch.setattr(_engine, "_expand", spy(_expand))
     run_search(n, tracks)
     root, expand, _ = joint_kernel(n)
-    _descend(root, 0, n // 2, expand, lambda b: joint.append(((0, 1), list(b.fst.T), b.syms)))
+    depth_first(root, 0, n // 2, expand, lambda b: joint.append(((0, 1), list(b.fst), [s.T for s in b.syms])))
     assert {ids for ids, _, _ in placed} == {(0,), (1,)}
     assert {ids for ids, _, _ in joint} == {(0, 1)}
     for ids, fst, syms in placed + joint:
@@ -937,7 +950,7 @@ def test_central_broadcast_matches_per_combination_oracle(monkeypatch, kind, n):
     for track, block, got in steps:
         syms = [] if got is None else [{"syms": [got.syms.T]}]
         assert leaf_rows(_merge_leaves(syms, (track,), n)) == leaf_rows(
-            central_leaves_oracle(row_major(block), n, (track,))
+            central_leaves_oracle(joint_block(block), n, (track,))
         )
         assert got is None or got.syms.dtype == np.int8
 

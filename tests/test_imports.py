@@ -78,6 +78,54 @@ def test_serial_search_loads_no_pool():
     assert "multiprocessing" not in modules
 
 
+# CLI, with every search, in this process or in a pool worker, appending
+# after each shard whether its process has loaded numpy.ma: one line
+# "pid True/False" to the file named by the first argument.
+REPORTING_CLI = """
+import os, sys
+from nsq import _engine
+log = sys.argv.pop(1)
+prepare = _engine._prepare
+
+def reporting(n, tracks):
+    search = prepare(n, tracks)
+
+    def run(shard):
+        leaves = search(shard)
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {'numpy.ma' in sys.modules}\\n")
+        return leaves
+
+    return run
+
+_engine._prepare = reporting
+""" + CLI
+
+
+@pytest.mark.parametrize("threads, shards", [("1", 1), ("2", 8)])
+def test_search_loads_no_masked_arrays(tmp_path, threads, shards):
+    # numpy.ma costs a launch about 15 ms, in the parent and in every
+    # worker; np.unique imports it.
+    log = tmp_path / "shards"
+    modules = loaded(REPORTING_CLI, str(log), "search", "--n", "19", "--threads", threads)
+    assert "numpy" in modules and "numpy.ma" not in modules
+    reports = [line.split() for line in log.read_text().splitlines()]
+    assert len(reports) == shards
+    assert {loaded_ma for _, loaded_ma in reports} == {"False"}
+
+
+@pytest.mark.parametrize("n", range(1, 32))
+def test_a_values_are_the_unique_first_column(n):
+    import numpy as np
+
+    from nsq._engine import _a_values, _solutions
+
+    solutions = _solutions(n, (2, 1, 1))
+    got, want = _a_values(solutions), np.unique(solutions[:, :1], axis=0)
+    assert got.dtype == want.dtype == np.int16
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
 # The package's public names, by home module.
 PUBLIC = {
     "core": "BaseQuadruple BinarySeq NormalQuadruple NpafTable SequenceError alternate concat "

@@ -1,0 +1,54 @@
+"""The shard pool of _engine._search: each worker builds the search's
+tables once, on its first shard, never the parent; the parent's objects
+are frozen out of the garbage collector while the pool runs and thawed
+after it, also when a worker raises; and an error in a worker reaches
+the caller.  The pool threshold is lowered so that short searches use
+the pool."""
+
+import gc
+import os
+
+import pytest
+
+from nsq import _engine
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    monkeypatch.setattr(_engine, "POOL_MIN_N", 1)
+    return monkeypatch
+
+
+def test_tables_are_built_once_per_worker(pooled, tmp_path):
+    # Each build appends "pid freeze-count" to a file, which the workers
+    # share with this process.
+    log = tmp_path / "builds"
+    prepare = _engine._prepare
+
+    def spy(n, tracks):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {gc.get_freeze_count()}\n")
+        return prepare(n, tracks)
+
+    pooled.setattr(_engine, "_prepare", spy)
+    for search, n in ((_engine.search_normal, 16), (_engine.search_golay, 16)):
+        log.write_text("")
+        search(n, workers=2)
+        builds = [line.split() for line in log.read_text().splitlines()]
+        pids = [pid for pid, _ in builds]
+        # 8 shards, at most one build in each of the 2 workers.
+        assert 1 <= len(pids) <= 2 and len(set(pids)) == len(pids)
+        assert str(os.getpid()) not in pids
+        # The workers were forked with the parent's objects frozen.
+        assert all(int(frozen) > 0 for _, frozen in builds)
+    assert gc.get_freeze_count() == 0
+
+
+def test_worker_error_reaches_the_caller_and_thaws_the_parent(pooled):
+    def fail(n, tracks):
+        raise RuntimeError(f"no tables for n = {n}")
+
+    pooled.setattr(_engine, "_prepare", fail)
+    with pytest.raises(RuntimeError, match="no tables for n = 12"):
+        _engine.search_golay(12, workers=2)
+    assert gc.get_freeze_count() == 0

@@ -68,17 +68,37 @@ class TestEnumerate:
     def test_parallel_matches_serial(self, monkeypatch):
         # Both searches, through the shard pool and in-process; odd n
         # also places the central column in every shard.  The pool
-        # threshold is lowered so that these short searches still use the
-        # pool.
+        # threshold is lowered so that the short searches still use the
+        # pool; NS n = 19 and 20 and Golay n = 20, the benchmark's
+        # lengths, use it at any threshold.
         from nsq import _engine
         from nsq.golay import golay_pairs
 
         monkeypatch.setattr(_engine, "POOL_MIN_N", 1)
 
         searches = {"ns": enumerate_classes, "golay": golay_pairs}
-        for kind, n in [("ns", 13), ("ns", 12), ("golay", 10), ("golay", 12)]:
+        cases = [("ns", 13), ("ns", 12), ("ns", 19), ("ns", 20)]
+        cases += [("golay", 10), ("golay", 12), ("golay", 20)]
+        for kind, n in cases:
             serial = searches[kind](n, workers=1)
             assert searches[kind](n, workers=2) == serial, f"{kind} n={n}"
+
+    def test_each_leaf_is_checked_for_normality_once(self, monkeypatch):
+        # The Golay-type tag reuses the leaf's own is_normal check.
+        import nsq.equivalence
+        import nsq.search
+
+        checked = []
+
+        def spy(quad):
+            checked.append(quad)
+            return is_normal(quad)
+
+        monkeypatch.setattr(nsq.search, "is_normal", spy)
+        monkeypatch.setattr(nsq.equivalence, "is_normal", spy)
+        records = enumerate_classes(16)
+        assert len(checked) == len(records) == 52
+        assert sum(r.golay_type for r in records) == 48
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -94,6 +94,24 @@ class TestVerify:
         allow = load_allowlist()
         assert EXPECTED_KNOWN <= allow
 
+    def test_each_row_is_checked_for_normality_once(self, monkeypatch, tables):
+        # The Golay-type check reuses the row's own is_normal check.
+        import nsq.equivalence
+        import nsq.tables
+        from nsq.core import is_normal
+
+        checked = []
+
+        def spy(quad):
+            checked.append(quad)
+            return is_normal(quad)
+
+        monkeypatch.setattr(nsq.tables, "is_normal", spy)
+        monkeypatch.setattr(nsq.equivalence, "is_normal", spy)
+        report = verify_tables(tables)
+        assert len(checked) == report.checked_rows == 167
+        assert {(f.n, f.index, f.check) for f in report.findings} == EXPECTED_KNOWN
+
 
 class TestDiff:
     def test_identical_lengths(self):
