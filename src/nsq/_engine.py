@@ -1,16 +1,13 @@
-"""Chunked, vectorised outward-in quad search.
+"""Chunked, vectorised outward-in quad search of NS(n).
 
-Shared by the class enumerator and the Golay pair search.  Sequences are
-filled from the outside in, one column of quads per level: level k fixes
-positions k and n+1-k of a pair of sequences, or track, as one quad (see
-TrackSpec for how a track carries the canonical-form conditions), and for
-odd n the last level fixes the central column.
+The engine of the class enumerator; the Golay pairs and the Golay-type
+class count are read off its classes (golay.py), so it runs one search.
+Sequences are filled from the outside in, one column of quads per level:
+level k fixes positions k and n+1-k of a pair of sequences, or track, as
+one quad (see TrackSpec for how a track carries the canonical-form
+conditions), and for odd n the last level fixes the central column.
 
-The Golay search places its one track level by level, on one member of
-each orbit of pairs under negating A, negating B and swapping A with B:
-its track admits a single quad at pair 1 (golay_tracks), so it returns
-that one member, the orbit's leader, and golay.py unfolds the orbit.
-The NS search (A;A;C;D) goes A first (_sweep_and_place):
+The search of (A;A;C;D) goes A first (_prepare):
 
 1. the sweep: A alone, through the (A;A) track's prefix tables, with its
    plain and alternating sums still able to reach the a of some row-sum
@@ -49,9 +46,8 @@ unexpanded rest of one expansion; the placement takes the swept A's in
 batches of about CHUNK.  Memory is bounded by CHUNK and n, not by the
 frontier or the number of A's.
 
-The row sums of a search must reach an integer solution of its square
-identity, given by the weight of each row (_solutions): (2, 1, 1) for
-the rows A, C, D of NS and (1, 1) for A, B of Golay.
+The row sums A, C, D must reach an integer solution of the square
+identity 2a^2 + c^2 + d^2 = 4n (_solutions).
 
 Quads are held as raw ids 4*left + right, where left/right are the
 column states 0=(+,+) 1=(+,-) 2=(-,+) 3=(-,-); the column state ids
@@ -60,11 +56,11 @@ the central column z is its own mirror image, so it is held as the raw
 quad 5*z whose two columns are both z.  A leaf is then, per sequence
 pair of the solution, one row of n - n//2 raw quads, the central (odd n)
 last.  This module is the only one that knows the raw ids or runs worker
-processes: search_normal and search_golay split a search into shards
-over one process pool when asked to, and hand back plain +1/-1 sign rows
-(see _sign_rows), never raw ids.  A search's tables depend only on n and
+processes: search_normal splits the search into shards over one process
+pool when asked to, and hands back plain +1/-1 sign rows (see
+_sign_rows), never raw ids.  The search's tables depend only on n and
 the tracks (_prepare): run_search builds them on every call, and a pool
-worker once, for all the shards it runs (_search).
+worker once, for all the shards it runs (_shard).
 """
 
 from __future__ import annotations
@@ -111,10 +107,6 @@ BOT_RIGHT = VEC[_R, 1]
 
 _AA_RAWS = (0, 12, 3, 15)  # labels 1, 3, 6, 8
 _CD_RAWS = (0, 5, 12, 6, 9, 3, 10, 15)  # labels 1..8, in order
-# Raw ids whose columns are orthogonal; these are the only quads a pair
-# with identically vanishing combined correlation can contain.
-ORTHOGONAL_RAWS = tuple(int(i) for i in range(16) if DOT4[_L[i], _R[i]] == 0)
-
 _SYMMETRIC_RAWS = frozenset({0, 5, 10, 15})  # labels 1, 2, 7, 8
 
 
@@ -205,41 +197,12 @@ def ns_tracks(n: int) -> tuple[TrackSpec, TrackSpec]:
     return aa, cd
 
 
-def golay_tracks(n: int) -> tuple[TrackSpec]:
-    """The Golay track over the 8 orthogonal quads, cut to one member of
-    each orbit under G.  For n >= 2, G acts freely (A = +-B would give
-    a_1 a_n + b_1 b_n = +-2 a_1 a_n at shift n - 1), and each orbit holds
-    exactly one pair with a_1 = b_1 = a_n = +1 and b_n = -1, whose pair 1
-    is the raw quad 1: state 0 admits only that quad, state 1 every
-    orthogonal quad.  For n = 1 the one column is the central, and state 0
-    admits only z = 0, (+, +).  Every test of the search is invariant
-    under G, so each level keeps exactly 1/8 of the unrestricted states,
-    and the leaves are the orbit leaders, each once."""
-    del n
-    allow = np.zeros((2, 16), dtype=bool)
-    allow[0, 1] = True
-    allow[1, list(ORTHOGONAL_RAWS)] = True
-    central = np.ones((2, 4), dtype=bool)
-    central[0, 1:] = False
-    track = TrackSpec(
-        alphabet=np.array(ORTHOGONAL_RAWS, dtype=np.int8),
-        allow=allow,
-        trans=np.ones((2, 16), dtype=np.int8),
-        central=central,
-    )
-    return (track,)
-
-
-def _solutions(n: int, weights) -> np.ndarray:
-    """Every row-sum vector the completed rows may have, row r standing for
-    w_r sequences: each row sum = n (mod 2), and sum_r w_r x_r^2 = n sum_r
-    w_r.  That is 2a^2 + c^2 + d^2 = 4n for NS(n), weights (2, 1, 1), and
-    a^2 + b^2 = 2n for Golay pairs, weights (1, 1)."""
-    weights = np.array(weights)
+def _solutions(n: int) -> np.ndarray:
+    """Every row-sum vector (a, c, d) the completed rows A, C, D of NS(n)
+    may have: each sum = n (mod 2), and 2a^2 + c^2 + d^2 = 4n."""
     axis = np.arange(-n, n + 1, 2)
-    grid = np.stack(np.meshgrid(*[axis] * len(weights), indexing="ij"), axis=-1)
-    grid = grid.reshape(-1, len(weights))
-    return grid[grid**2 @ weights == n * weights.sum()].astype(np.int16)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    return grid[grid**2 @ np.array([2, 1, 1]) == 4 * n].astype(np.int16)
 
 
 def _bounds(n: int) -> np.ndarray:
@@ -477,9 +440,8 @@ def _merge_leaves(parts: list[dict], tracks, n: int) -> dict:
 # Most states one expansion takes.  Measured on the shift-major kernel,
 # in-process on 2 cores (median of 3 runs, tracemalloc peak): NS n = 20
 # 0.73 / 0.66 / 0.61 s and 4.5 / 7.2 / 12.7 MB for 1 << 11 / 12 / 13,
-# Golay n = 20 0.79 / 0.65 / 0.63 s and 3.0 / 5.0 / 9.0 MB, NS n = 22
-# 3.61 / 3.38 / 3.24 s and 6.6 / 10.4 / 17.9 MB.  1 << 13 saves 3-8% of
-# the time for 1.7-1.8x the peak.
+# NS n = 22 3.61 / 3.38 / 3.24 s and 6.6 / 10.4 / 17.9 MB.  1 << 13 saves
+# 3-8% of the time for 1.7-1.8x the peak.
 CHUNK = 1 << 12
 
 
@@ -601,20 +563,23 @@ def _a_values(solutions: np.ndarray) -> np.ndarray:
     return a[first][:, None]
 
 
-def _sweep_and_place(n: int, tracks) -> Callable[[tuple[int, int]], dict]:
-    """The NS search, A first, as a function of the shard, its tables
-    built once.  The repeated track (A;A) is swept alone over its prefix
-    tables with its row sums pruned (_sweep); each completed A must pass
-    the power test (_psd_keep); and the surviving A's, in batches of at
-    least CHUNK (or what is left at the end), are the root states of the
-    search of the (C;D) track, each with p = 2 N_A and A's row sums,
-    completed by _expand on _levels(n, cd, solutions).  Every test on A
-    is necessary and the two prefix machines are independent, so the
-    leaves are exactly those of the joint search of both tracks, in
-    another order."""
+def _prepare(n: int, tracks) -> Callable[[tuple[int, int]], dict]:
+    """The NS search, A first, as a function of the shard, with every
+    table it reads built once from n and the tracks (the row-sum
+    solutions, both level lists and the power test's angles); a pool
+    worker builds it once and runs each of its shards on it (_shard).
+
+    The repeated track (A;A) is swept alone over its prefix tables with
+    its row sums pruned (_sweep); each completed A must pass the power
+    test (_psd_keep); and the surviving A's, in batches of at least CHUNK
+    (or what is left at the end), are the root states of the search of
+    the (C;D) track, each with p = 2 N_A and A's row sums, completed by
+    _expand on _levels(n, cd, solutions).  Every test on A is necessary
+    and the two prefix machines are independent, so the leaves are
+    exactly those of the joint search of both tracks, in another order."""
     aa, cd = tracks
     m = n // 2
-    solutions = _solutions(n, (2, 1, 1))
+    solutions = _solutions(n)
     sweep_levels = _levels(n, aa, _a_values(solutions), rows=1)
     place_levels = _levels(n, cd, solutions)
     tables = _psd_tables(n)
@@ -679,68 +644,32 @@ def _sweep_and_place(n: int, tracks) -> Callable[[tuple[int, int]], dict]:
     return search
 
 
-def _place_track(n: int, tracks) -> Callable[[tuple[int, int]], dict]:
-    """The search of one track (Golay) as a function of the shard, its
-    levels built once: the track placed column by column by _descend."""
-    (track,) = tracks
-    m = n // 2
-    levels = _levels(n, track, _solutions(n, (1, 1)))
-
-    def search(shard: tuple[int, int]) -> dict:
-        leaves: list[dict] = []
-        # bounds[n - m] is identically zero, so the last level's survivors
-        # satisfy every equation: they are the leaves.
-        _descend(
-            _root(n, 2), 0, n - m,
-            lambda block, k: _expand(block, n, k, track, levels[k]),
-            lambda block: leaves.append({"syms": [block.syms.T]}),
-            shard, min(3, m),
-        )
-        return _merge_leaves(leaves, tracks, n)
-
-    return search
-
-
-def _prepare(n: int, tracks) -> Callable[[tuple[int, int]], dict]:
-    """The search the tracks define, with every table it reads built from
-    n and the tracks (the row-sum solutions, the levels, and for NS the
-    power test's angles), as a function of the shard.  A pool worker
-    builds it once and runs each of its shards on it (_shard)."""
-    return (_sweep_and_place if len(tracks) == 2 else _place_track)(n, tracks)
-
-
 def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
-    """Enumerate every solution of the search the tracks define: NS(n)
-    for ns_tracks, Golay pairs for golay_tracks.  Returns {"syms": per
-    sequence pair of a leaf, one row of n - n//2 raw quads per leaf}, the
-    central (odd n) as the last quad.
+    """Enumerate every canonical-form candidate of NS(n), the tracks being
+    ns_tracks(n).  Returns {"syms": per sequence pair of a leaf, (A;A)
+    then (C;D), one row of n - n//2 raw quads per leaf}, the central (odd
+    n) as the last quad.
 
-    Each search places one track.  NS passes two, (A;A) and (C;D): A is
-    swept first and (C;D) placed on each survivor (_sweep_and_place).
-    Golay passes one, placed column by column by _descend over the levels
-    of _levels; its track admits one member of each orbit under G (see
-    golay_tracks), so the leaves are the orbit leaders.  shard=(i, w) keeps
-    every w-th state of the frontier after level 3 (level n//2 when that
-    is shallower) of the sweep, or of the search, so the w shards
-    i = 0..w-1 partition it.  Every call builds the search's tables anew
-    (_prepare).
+    A is swept first and (C;D) placed on each survivor (_prepare).
+    shard=(i, w) keeps every w-th state of the sweep's frontier after
+    level 3 (level n//2 when that is shallower), so the w shards
+    i = 0..w-1 partition the search.  Every call builds the search's
+    tables anew.
     """
     return _prepare(n, tracks)(shard)
 
 
 # Searches shorter than this run in-process whatever the worker count.
-# Measured in-process on a 2-core Xeon (median of 7 runs, 5 for NS
-# n = 25 and Golay n = 20, 3 for Golay n = 26; 1 vs 2 workers): NS n = 19
-# took 0.026 / 0.085 s, 20 0.034 / 0.086 s, 23 0.152 / 0.123 s and
-# 25 1.38 / 0.77 s; Golay, one member per orbit, n = 20 0.077 / 0.082 s
-# and 26 2.96 / 1.77 s.  A pool adds a few tens of ms to a search: the
-# workers start, each builds the search's tables, and each of the
-# workers * 4 shards re-runs the shallow levels and places (C;D) on its
-# own few A's.  So a search gains time from the pool from about n = 23
-# (NS) or past 20 (Golay), but it keeps the pool from 17 up: the NS
-# search then runs in the workers, beside the main process's leaf checks
-# rather than on top of them, and no process peaks as high (`nsq search
-# --n 19`: 30.2 MB with 2 workers, 32.3 MB in one process).
+# Measured in-process on a 2-core Xeon (median of 7 runs, 5 for n = 25;
+# 1 vs 2 workers): n = 19 took 0.026 / 0.085 s, 20 0.034 / 0.086 s,
+# 23 0.152 / 0.123 s and 25 1.38 / 0.77 s.  A pool adds a few tens of ms
+# to a search: the workers start, each builds the search's tables, and
+# each of the workers * 4 shards re-runs the shallow levels and places
+# (C;D) on its own few A's.  So a search gains time from the pool from
+# about n = 23, but it keeps the pool from 17 up: the search then runs in
+# the workers, beside the main process's leaf checks rather than on top
+# of them, and no process peaks as high (`nsq search --n 19`: 30.2 MB
+# with 2 workers, 32.3 MB in one process).
 POOL_MIN_N = 17
 
 
@@ -790,11 +719,12 @@ def _shard(i: int) -> tuple[int, dict]:
     return i, _worker["search"]((i, _worker["shards"]))
 
 
-def _search(n: int, tracks, workers: int):
-    """The sign rows of every leaf, searched in this process by
-    run_search, or split into workers * 4 shards over one pool of
-    workers processes, handed out one at a time as workers come free;
-    the parts are merged in shard order.
+def search_normal(n: int, workers: int = 1):
+    """All canonical-form candidates for NS(n) as sign rows
+    [(A, A), (C, D)], one row per candidate in each array: searched in
+    this process by run_search, or split into workers * 4 shards over one
+    pool of workers processes, handed out one at a time as workers come
+    free; the parts are merged in shard order.
 
     Each worker pays the pool's fixed costs once: it builds the tables
     on its first shard and runs its later shards on them, and a job is
@@ -802,6 +732,7 @@ def _search(n: int, tracks, workers: int):
     garbage collector while the pool runs (gc.freeze), so a forked
     worker's collections do not touch, and copy, the pages it shares
     with the parent."""
+    tracks = ns_tracks(n)
     if workers > 1 and n >= POOL_MIN_N:
         import gc
         import multiprocessing
@@ -817,16 +748,3 @@ def _search(n: int, tracks, workers: int):
     else:
         leaves = run_search(n, tracks)
     return _sign_rows(leaves, n)
-
-
-def search_normal(n: int, workers: int = 1):
-    """All canonical-form candidates for NS(n) as sign rows:
-    [(A, A), (C, D)], one row per candidate in each array."""
-    return _search(n, ns_tracks(n), workers)
-
-
-def search_golay(n: int, workers: int = 1):
-    """One pair with identically vanishing combined correlation per orbit
-    under negating A, negating B and swapping A with B (see golay_tracks),
-    as sign rows [(A, B)], one row per pair in each array."""
-    return _search(n, golay_tracks(n), workers)

@@ -1,26 +1,26 @@
-"""Exhaustive Golay pair search, the two embeddings into normal
-sequences, and the Golay-type class count.
+"""Golay pairs, their two embeddings into normal sequences, and the
+Golay-type class count, all read off the classification of NS(n).
 
-The pair search reuses the outward-in engine of the class enumerator,
-so one pruning core backs both enumerations.  It differs only in its
-track: one track over the 8 orthogonal quads, whose row sums must reach
-the identity a^2 + b^2 = 2n, and whose two-state prefix machine admits
-one member of each orbit under G = {(+-A, +-B), (+-B, +-A)}: the leader,
-with a_1 = b_1 = a_n = +1 and b_n = -1, or A = B = (+) at n = 1.  This
-module alone knows how G acts: golay_pairs unfolds each leader into its
-orbit, and golay_type_class_count embeds the leaders only."""
+A Golay pair (A, B) of length n is exactly the member (A;A;B;B) of NS(n)
+with C = D, so no second search is needed.  A class is Golay-type when
+some member has C = D (search.enumerate_classes tags it), and every
+ordered pair is the (A, C) of exactly one such member: golay_pairs
+unfolds the orbit of each Golay-type class and keeps its members with
+C = D, and golay_type_class_count counts those classes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import search
 from .core import BinarySeq, NormalQuadruple, alternate, negate, npaf, reverse
-from .equivalence import are_equivalent, canonical_raw
+from .equivalence import are_equivalent, orbit_raw
+from .equivalence import canonical_raw  # noqa: F401  (perfbench/nsq_trace.py wraps it here)
 
 
 class GolayError(ValueError):
-    """Raised for invalid pairs, out-of-budget searches, or a search that
-    returns an orbit leader twice."""
+    """Raised for invalid pairs, out-of-budget searches, or a Golay-type
+    class with no member C = D (must never happen)."""
 
 
 MAX_EXHAUSTIVE = 26
@@ -46,35 +46,30 @@ class GolayPair:
         return len(self.a)
 
 
-def _orbit_leaders(n: int, workers: int) -> list[GolayPair]:
-    """One Golay pair of length n per orbit under G, exhaustively."""
+def _golay_type_records(n: int, workers: int) -> list[search.ClassRecord]:
+    """The Golay-type classes of NS(n), exhaustively."""
     if n < 1:
         raise GolayError("n must be at least 1")
     if n > MAX_EXHAUSTIVE:
         raise GolayError(
             f"exhaustive pair search is budgeted up to n = {MAX_EXHAUSTIVE}"
         )
-    from . import _engine  # numpy loads only when a search runs
-
-    ((a_rows, b_rows),) = _engine.search_golay(n, workers)
-    rows = list(zip(map(tuple, a_rows.tolist()), map(tuple, b_rows.tolist())))
-    if len(set(rows)) != len(rows):
-        raise GolayError("the search returned an orbit leader twice")
-    return [GolayPair(BinarySeq(a), BinarySeq(b)) for a, b in rows]
+    return [r for r in search.enumerate_classes(n, workers=workers) if r.golay_type]
 
 
 def golay_pairs(n: int, workers: int = 1) -> list[GolayPair]:
-    """All ordered Golay pairs of length n, exhaustively: the images of
-    the orbit leaders under G, each once (at n = 1 the swap fixes the
-    leader), sorted."""
-    images = {
-        GolayPair(x, y)
-        for pair in _orbit_leaders(n, workers)
-        for a, b in ((pair.a, pair.b), (pair.b, pair.a))
-        for x in (a, negate(a))
-        for y in (b, negate(b))
-    }
-    return sorted(images, key=lambda pair: (pair.a.terms, pair.b.terms))
+    """All ordered Golay pairs of length n, exhaustively, sorted: the
+    (A, C) of the members with C = D of every Golay-type class."""
+    pairs = set()
+    for record in _golay_type_records(n, workers):
+        raw = search.record_quadruple(record).raw()
+        members = {(a, c) for a, c, d in orbit_raw(raw) if c == d}
+        if not members:
+            raise GolayError(
+                f"Golay-type class {record.p_code} {record.q_code} has no member with C = D"
+            )
+        pairs |= members
+    return [GolayPair(BinarySeq(a), BinarySeq(b)) for a, b in sorted(pairs)]
 
 
 def embed(pair: GolayPair) -> tuple[NormalQuadruple, NormalQuadruple]:
@@ -101,11 +96,6 @@ def two_embeddings_equivalent(pair: GolayPair) -> bool:
 
 
 def golay_type_class_count(n: int, workers: int = 1) -> int:
-    """Number of distinct classes met by the embeddings of all pairs.
-
-    The images of a pair under G embed into equivalent quadruples: -A
-    by negate_aa, -B by negate_c.negate_d, and the swap exchanges the
-    two embeddings.  So only the orbit leaders are embedded.
-    """
-    pairs = _orbit_leaders(n, workers)
-    return len({canonical_raw(quad.raw()) for pair in pairs for quad in embed(pair)})
+    """Number of distinct classes met by the embeddings of all pairs: the
+    Golay-type classes, those with some member C = D."""
+    return len(_golay_type_records(n, workers))

@@ -1,25 +1,29 @@
 """Engine internals: the raw quad ids against the code labels, the
-row-sum solutions of each search's weights against hand-written solvers
-of the square identities, the row-sum reach tables against a direct
-broadcast of their predicate, the correlation bounds against a count of
-the undetermined products, the per-level frontier sizes of the joint
-search and of the A sweep and (C;D) placement, the A-first NS search and
-the chunked depth-first traversal against the joint search of both
-tracks (level-synchronous, or chunked depth first), the one-track kernel
-against the joint kernel it replaced, the track tables against the
-symbol scans they replaced, the central column held as a quad, its level
-of the kernel against a loop over the central combinations, and the
-power test against the bundled representatives and its float error
-bound.
+row-sum solutions against a hand-written solver of the square
+identity, the row-sum reach tables against a direct broadcast of
+their predicate, the correlation bounds against a count of the
+undetermined products, the per-level frontier sizes of the joint
+search and of the A sweep and (C;D) placement, the A-first NS search
+and the chunked depth-first traversal against the joint search of
+both tracks (level-synchronous, or chunked depth first), the
+one-track kernel against the joint kernel it replaced, the track
+tables against the symbol scans they replaced, the central column
+held as a quad, its level of the kernel against a loop over the
+central combinations, and the power test against the bundled
+representatives and its float error bound.
 
 The library places one track per search.  The joint search of NS, both
 tracks placed together column by column, lives here as the oracle of the
 A-first search: joint_levels, expand_oracle and central_leaves_oracle,
 driven level by level (level_search) or depth first (joint_search).
-Likewise the Golay search, which the library runs on one member of each
-pair orbit, has the unrestricted track (full_golay_tracks) as its
-oracle: the engine's leaves are its orbit leaders, and golay_pairs,
-which unfolds them, is every one of its pairs."""
+
+The library runs no Golay search: golay_pairs reads the pairs off the
+NS classes.  The Golay search on one member of each pair orbit lives
+here as the oracle of those derived pairs: the leader track
+(golay_tracks), placed by the library's _descend and _expand
+(golay_leader_search).  It is itself checked against the unrestricted
+track (full_golay_tracks), which searches every ordered pair, and it
+runs through the same kernel tests as the NS search."""
 
 import itertools
 import tracemalloc
@@ -39,7 +43,6 @@ from nsq._engine import (
     BOT_RIGHT,
     CHUNK,
     DD,
-    ORTHOGONAL_RAWS,
     PSD_FLOAT,
     PSD_TOL,
     SC,
@@ -64,7 +67,6 @@ from nsq._engine import (
     _spell,
     _sweep,
     run_search,
-    golay_tracks,
     ns_tracks,
 )
 from nsq.golay import golay_pairs
@@ -121,13 +123,11 @@ def golay_solutions(n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_solutions_follow_from_the_tracks(n):
-    # The repeated pair (A;A) is one row of weight 2, the other pairs two
-    # rows of weight 1: NS weighs its rows A, C, D (2, 1, 1) and Golay its
-    # rows A, B (1, 1), and the solutions are the hand-solved identities.
-    for weights, solver in (((2, 1, 1), ns_solutions), ((1, 1), golay_solutions)):
-        derived = _solutions(n, weights)
-        assert derived.dtype == np.int16
-        assert sorted(map(tuple, derived.tolist())) == sorted(map(tuple, solver(n).tolist()))
+    # The repeated pair (A;A) is one row of weight 2, and C and D one row
+    # each: the solutions are the hand-solved identity 2a^2 + c^2 + d^2 = 4n.
+    derived = _solutions(n)
+    assert derived.dtype == np.int16
+    assert sorted(map(tuple, derived.tolist())) == sorted(map(tuple, ns_solutions(n).tolist()))
 
 
 def reachable_oracle(partial: np.ndarray, solutions: np.ndarray, remaining) -> np.ndarray:
@@ -257,7 +257,7 @@ def joint_levels(n: int) -> list[JointLevel | None]:
     search of NS(n), (A;A) and (C;D) placed together, with the rows A, C
     and D of weights (2, 1, 1) and the bounds of four sequences."""
     aa, cd = ns_tracks(n)
-    solutions = _solutions(n, (2, 1, 1))
+    solutions = _solutions(n)
     strides = _row_strides(n, 3)
     bounds = 2 * _bounds(n)
     # Every combination of an (A;A) quad and a (C;D) quad, (A;A) slowest.
@@ -384,10 +384,66 @@ def joint_kernel(n: int):
     )
 
 
+# Raw ids whose columns are orthogonal; these are the only quads a pair
+# with identically vanishing combined correlation can contain.
+ORTHOGONAL_RAWS = tuple(int(i) for i in np.flatnonzero(SC == 0))
+
+
+def golay_tracks(n: int) -> tuple[_engine.TrackSpec]:
+    """The Golay track over the 8 orthogonal quads, cut to one member of
+    each orbit under G = {(+-A, +-B), (+-B, +-A)}.  For n >= 2, G acts
+    freely (A = +-B would give a_1 a_n + b_1 b_n = +-2 a_1 a_n at shift
+    n - 1), and each orbit holds exactly one pair with a_1 = b_1 = a_n = +1
+    and b_n = -1, whose pair 1 is the raw quad 1: state 0 admits only that
+    quad, state 1 every orthogonal quad.  For n = 1 the one column is the
+    central, and state 0 admits only z = 0, (+, +).  Every test of the
+    search is invariant under G, so each level keeps exactly 1/8 of the
+    unrestricted states, and the leaves are the orbit leaders, each once."""
+    del n
+    allow = np.zeros((2, 16), dtype=bool)
+    allow[0, 1] = True
+    allow[1, list(ORTHOGONAL_RAWS)] = True
+    central = np.ones((2, 4), dtype=bool)
+    central[0, 1:] = False
+    track = _engine.TrackSpec(
+        alphabet=np.array(ORTHOGONAL_RAWS, dtype=np.int8),
+        allow=allow,
+        trans=np.ones((2, 16), dtype=np.int8),
+        central=central,
+    )
+    return (track,)
+
+
+def golay_leader_search(n: int):
+    """The Golay search on one member per orbit, as a function of the
+    shard, its levels built once: the leader track placed column by
+    column by the library's _descend and _expand, on the reach tables of
+    a^2 + b^2 = 2n, sharded like the library's search.  bounds[n - m] is
+    identically zero, so the last level's survivors satisfy every
+    equation: they are the leaves.  The kernel is looked up on _engine
+    when the search runs, so that the spies of these tests see it."""
+    tracks = golay_tracks(n)
+    (track,) = tracks
+    m = n // 2
+    levels = _engine._levels(n, track, golay_solutions(n))
+
+    def search(shard: tuple[int, int]) -> dict:
+        leaves: list[dict] = []
+        _engine._descend(
+            _root(n, 2), 0, n - m,
+            lambda block, k: _engine._expand(block, n, k, track, levels[k]),
+            lambda block: leaves.append({"syms": [block.syms.T]}),
+            shard, min(3, m),
+        )
+        return _merge_leaves(leaves, tracks, n)
+
+    return search
+
+
 def full_golay_tracks(n: int) -> tuple[_engine.TrackSpec]:
-    """The Golay track the library cut to one member per orbit: every
-    orthogonal quad in every column, every central, one prefix state.  It
-    searches every ordered pair, 8 times as many states per level."""
+    """The Golay track of golay_tracks uncut: every orthogonal quad in
+    every column, every central, one prefix state.  It searches every
+    ordered pair, 8 times as many states per level."""
     del n
     track = _engine.TrackSpec(
         alphabet=np.array(ORTHOGONAL_RAWS, dtype=np.int8),
@@ -403,7 +459,7 @@ def golay_kernel(n: int):
     library's _expand on the pair levels of full_golay_tracks, then the
     central of odd n by central_leaves_oracle."""
     (track,) = full_golay_tracks(n)
-    levels = _levels(n, track, _solutions(n, (1, 1)))
+    levels = _levels(n, track, golay_solutions(n))
     return (
         _root(n, 2),
         lambda block, k: _expand(block, n, k, track, levels[k]),
@@ -465,6 +521,19 @@ def search_inputs(kind: str, n: int):
     return SEARCHES[kind](n)
 
 
+def prepare(kind: str, n: int):
+    """The search of a kind as a function of the shard: the library's NS
+    search, or the Golay leader search of this module."""
+    if kind == "ns":
+        return _engine._prepare(n, ns_tracks(n))
+    return golay_leader_search(n)
+
+
+def run(kind: str, n: int) -> dict:
+    """The leaves of the whole search of a kind, in one shard."""
+    return prepare(kind, n)((0, 1))
+
+
 @lru_cache(maxsize=None)
 def oracle(kind: str, n: int) -> tuple[list[int], list[tuple]]:
     """The level-synchronous search: the joint search for NS, the
@@ -519,16 +588,16 @@ def counting(fn, sizes: dict):
 
 
 def golay_frontiers(monkeypatch, n: int) -> list[int]:
-    """The states the library's Golay search keeps after each level (the
+    """The states the Golay leader search keeps after each level (the
     central of odd n last), one member per orbit."""
     sizes = {}
     monkeypatch.setattr(_engine, "_expand", counting(_expand, sizes))
-    run_search(n, golay_tracks(n))
+    run("golay", n)
     monkeypatch.undo()
     return [sizes.get(k, 0) for k in range(1, n - n // 2 + 1)]
 
 
-# The library's Golay search, one member of each orbit of 8: recorded
+# The Golay leader search, one member of each orbit of 8: recorded
 # when the orbit rule landed, each pair level's entry GOLDEN_FRONTIERS'
 # Golay entry / 8; odd n end with the central level.
 GOLDEN_GOLAY_ORBITS = {
@@ -550,20 +619,46 @@ def test_golay_orbit_frontiers_match_golden(monkeypatch, n):
 @pytest.mark.parametrize("n", range(1, 23))
 def test_golay_leaders_are_distinct(n):
     tracks = golay_tracks(n)
+    search = golay_leader_search(n)
     for shards in (1, 2, 8):
-        parts = [run_search(n, tracks, shard=(i, shards)) for i in range(shards)]
+        parts = [search((i, shards)) for i in range(shards)]
         rows = leaf_rows(_merge_leaves(parts, tracks, n))
         assert len(set(rows)) == len(rows), shards
 
 
+def sign_pairs(rows, n: int) -> list[tuple]:
+    """Golay leaves, rows of raw quads, as sorted (A, B) sign tuples."""
+    rows = np.array(rows, dtype=np.int8).reshape(-1, n - n // 2)
+    ((a, b),) = _sign_rows({"syms": [rows]}, n)
+    return sorted(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
+
+
+def golay_leaders_unfolded(n: int) -> list[tuple]:
+    """Every image under G of the leaders the Golay leader search finds,
+    each once (at n = 1 the swap fixes the leader), sorted."""
+    return sorted({
+        (tuple(sx * t for t in x), tuple(sy * t for t in y))
+        for a, b in sign_pairs(run("golay", n)["syms"][0], n)
+        for x, y in ((a, b), (b, a))
+        for sx in (1, -1)
+        for sy in (1, -1)
+    })
+
+
 @pytest.mark.parametrize("n", range(1, 23))
 def test_golay_leaves_unfold_one_member_per_orbit(n):
-    # golay_pairs unfolds each leader into its orbit: every ordered pair
-    # of the unrestricted search, once, in one process or (from n = 17,
-    # POOL_MIN_N) over the pool.
-    rows = np.array(oracle("golay", n)[1], dtype=np.int8).reshape(-1, n - n // 2)
-    ((a, b),) = _sign_rows({"syms": [rows]}, n)
-    want = sorted(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
+    # The leaders, unfolded, are every ordered pair of the unrestricted
+    # search, once.
+    assert golay_leaders_unfolded(n) == sign_pairs(oracle("golay", n)[1], n)
+
+
+@pytest.mark.parametrize("n", range(1, 23))
+def test_derived_pairs_are_the_oracle_leaders_unfolded(n):
+    # What golay_pairs reads off the NS classes, the members with C = D of
+    # the Golay-type classes, in one process or (from n = 17, POOL_MIN_N)
+    # over the pool, is every image under G of the leaders a separate
+    # search finds.
+    want = golay_leaders_unfolded(n)
     for workers in (1, 2):
         got = [(pair.a.terms, pair.b.terms) for pair in golay_pairs(n, workers=workers)]
         assert got == want, workers
@@ -572,7 +667,7 @@ def test_golay_leaves_unfold_one_member_per_orbit(n):
 @pytest.mark.parametrize("n", range(1, 21))
 @pytest.mark.parametrize("kind", sorted(SEARCHES))
 def test_run_search_matches_level_synchronous_oracle(kind, n):
-    assert leaf_rows(run_search(n, search_inputs(kind, n))) == oracle_leaves(kind, n)
+    assert leaf_rows(run(kind, n)) == oracle_leaves(kind, n)
 
 
 @pytest.mark.parametrize("shards", [2, 8])
@@ -582,7 +677,7 @@ def test_shards_partition_the_search(kind, n, shards):
     # As in a pool worker, one prepared search runs every shard, in any
     # order: each shard starts from nothing held.
     tracks = search_inputs(kind, n)
-    search = _prepare(n, tracks)
+    search = prepare(kind, n)
     parts = [search((i, shards)) for i in reversed(range(shards))]
     assert leaf_rows(_merge_leaves(parts, tracks, n)) == oracle_leaves(kind, n)
 
@@ -685,7 +780,7 @@ def test_traversal_is_chunked_and_deepest_first(monkeypatch):
     monkeypatch.setattr(_engine, "_sweep", spy(_sweep))
     monkeypatch.setattr(_engine, "_expand", spy(_expand))
     for kind in SEARCHES:
-        run_search(n, search_inputs(kind, n))
+        run(kind, n)
         for _, held in seen.values():
             assert held[1:n // 2] == [0] * (n // 2 - 1)
     # The Golay frontier and the A sweep pass 10 * CHUNK, so full chunks
@@ -719,22 +814,22 @@ def test_shift_major_kernel_matches_row_major_oracle(monkeypatch, kind, n):
         return got
 
     monkeypatch.setattr(_engine, "_expand", spy)
-    run_search(n, search_inputs(kind, n))
+    run(kind, n)
     # n = 1 has no pair to place, and no A of length 6 or 14 passes the
     # sweep and the power test.
     assert expanded or n == 1 or (kind, n) in (("ns", 6), ("ns", 14))
 
 
 def library_levels(n: int):
-    """(track, its levels) for each level list a library search builds:
-    the A sweep and the (C;D) placement of NS(n), and the Golay search."""
+    """(track, its levels) for each level list a search builds: the A
+    sweep and the (C;D) placement of NS(n), and the Golay leader search."""
     aa, cd = ns_tracks(n)
     (golay,) = golay_tracks(n)
-    ns = _solutions(n, (2, 1, 1))
+    ns = _solutions(n)
     return [
         (aa, _levels(n, aa, np.unique(ns[:, :1], axis=0), rows=1)),
         (cd, _levels(n, cd, ns)),
-        (golay, _levels(n, golay, _solutions(n, (1, 1)))),
+        (golay, _levels(n, golay, golay_solutions(n))),
     ]
 
 
@@ -756,7 +851,7 @@ def test_forbidden_gate_value_cannot_cancel(n):
             assert set(np.unique(level.gate).tolist()) <= allowed
 
 
-# Ceilings of 1.1x the tracemalloc peaks of run_search(n, ...), on 2 cores
+# Ceilings of 1.1x the tracemalloc peaks of each search (run), on 2 cores
 # with Python 3.11 and numpy 2.4.  Golay n = 20: 3_681_669 bytes with one
 # member per orbit searched, against 4_944_738 for every ordered pair and
 # 5_040_522 with the row-major kernel that the shift-major one replaced.
@@ -778,11 +873,10 @@ LIVE_PEAK_CEILINGS = {
     pytest.param(kind, n, id=kind if n == 20 else f"{kind}-{n}") for kind, n in LIVE_PEAK_CEILINGS
 ])
 def test_live_peak_is_bounded(kind, n):
-    tracks = search_inputs(kind, n)
-    run_search(n, tracks)  # fill the module caches before tracing
+    run(kind, n)  # fill the module caches before tracing
     tracemalloc.start()
     try:
-        run_search(n, tracks)
+        run(kind, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -795,7 +889,7 @@ def test_tiny_chunks_match_oracle(monkeypatch, kind, n):
     # is split at every level, and odd n places its central column on
     # many small blocks.
     monkeypatch.setattr(_engine, "CHUNK", 37)
-    assert leaf_rows(run_search(n, search_inputs(kind, n))) == oracle_leaves(kind, n)
+    assert leaf_rows(run(kind, n)) == oracle_leaves(kind, n)
 
 
 def test_level_setup_is_built_once_per_level(monkeypatch):
@@ -824,7 +918,7 @@ def test_level_setup_is_built_once_per_level(monkeypatch):
     for kind, phases, chunked, least in (("golay", 1, _expand, 18), ("ns", 2, _sweep, 5)):
         built.clear()
         expanded[chunked].clear()
-        run_search(20, search_inputs(kind, 20))
+        run(kind, 20)
         assert len(built) == phases and all(len(b) == 11 for b in built)
         assert expanded[chunked].count(10) > least
 
@@ -943,7 +1037,7 @@ def test_central_broadcast_matches_per_combination_oracle(monkeypatch, kind, n):
         return got
 
     monkeypatch.setattr(_engine, "_expand", spy)
-    run_search(n, search_inputs(kind, n))  # NS: the central of (C;D), A complete
+    run(kind, n)  # NS: the central of (C;D), A complete
     # Odd Golay lengths above 1 have no row-sum solution, so no state
     # gets past pair 1.
     assert steps or (kind == "golay" and n > 1)
@@ -959,7 +1053,7 @@ def test_central_broadcast_matches_per_combination_oracle(monkeypatch, kind, n):
 def test_central_is_the_last_quad(n):
     # The central column z is held as the raw quad 5*z, both columns z;
     # the repeated pair's central is 0 or 3, so its quad is 0 or 15.
-    leaves = {kind: run_search(n, search_inputs(kind, n))["syms"] for kind in SEARCHES}
+    leaves = {kind: run(kind, n)["syms"] for kind in SEARCHES}
     assert len(leaves["ns"][0]) or n == 17  # NS(17) alone has no class
     for kind, syms in leaves.items():
         for t, quads in enumerate(syms):
@@ -973,7 +1067,7 @@ def sweep_one(n: int, a: tuple[int, ...]):
     the state that places A's own quad; None where a level drops it.
     Returns A's column of signs, spelled from the quads kept."""
     aa = ns_tracks(n)[0]
-    a_values = np.unique(_solutions(n, (2, 1, 1))[:, :1], axis=0)
+    a_values = np.unique(_solutions(n)[:, :1], axis=0)
     levels = _levels(n, aa, a_values, rows=1)
     # Pair k holds A's positions k and n+1-k; the central is both.
     column = [0 if v > 0 else 3 for v in a]

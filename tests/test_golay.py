@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 
-from nsq.core import BinarySeq, NormalQuadruple, is_normal, npaf
+from nsq.core import BinarySeq, NormalQuadruple, is_normal, negate, npaf
 from nsq.equivalence import are_equivalent, canonical_raw, is_golay_type
-from nsq import _engine, golay
+from nsq import search
 from nsq.golay import (
     GolayError,
     GolayPair,
@@ -13,7 +12,7 @@ from nsq.golay import (
     two_embeddings_equivalent,
 )
 from nsq.quadcodec import encode_quadruple
-from nsq.search import enumerate_classes
+from nsq.search import ClassRecord, enumerate_classes
 from nsq.tables import load_tables
 
 
@@ -35,6 +34,16 @@ def leads_its_orbit(pair: GolayPair) -> bool:
     (one per orbit for n >= 2; none at n = 1)."""
     a, b = pair.a, pair.b
     return a[0] == b[0] == a[-1] == 1 and b[-1] == -1
+
+
+def images(pair: GolayPair) -> set[GolayPair]:
+    """The orbit of the pair under G."""
+    return {
+        GolayPair(x, y)
+        for a, b in ((pair.a, pair.b), (pair.b, pair.a))
+        for x in (a, negate(a))
+        for y in (b, negate(b))
+    }
 
 
 # Ordered pair counts frozen from the exhaustive search.
@@ -116,10 +125,12 @@ class TestClassCounts:
 
     @pytest.mark.parametrize("n", range(2, 23))
     def test_orbit_leaders_are_one_pair_in_eight(self, n):
+        # G acts freely for n >= 2, each orbit has one leader, and the
+        # leaders' orbits are every pair.
         pairs = golay_pairs(n)
         leaders = [pair for pair in pairs if leads_its_orbit(pair)]
         assert 8 * len(leaders) == len(pairs)
-        assert set(golay._orbit_leaders(n, 1)) == set(leaders)
+        assert set().union(*map(images, leaders)) == set(pairs)
 
     @pytest.mark.parametrize("n", range(1, 23))
     def test_count_equals_the_all_pairs_count(self, n):
@@ -129,14 +140,17 @@ class TestClassCounts:
     def test_count_matches_the_table(self, n):
         assert golay_type_class_count(n) == load_tables().counts[n].gol
 
-    def test_repeated_leader_is_refused(self, monkeypatch):
-        search = _engine.search_golay
+    def test_golay_type_class_without_golay_member_is_refused(self, monkeypatch):
+        # A sporadic class tagged Golay-type has no member with C = D: the
+        # pairs cannot be read off it.  Must never happen.
+        classify = search.enumerate_classes
 
-        def twice(n, workers=1):
-            ((a, b),) = search(n, workers)
-            return [(np.concatenate([a, a[:1]]), np.concatenate([b, b[:1]]))]
+        def mistagged(n, workers=1):
+            return [
+                ClassRecord(r.n, r.index, r.p_code, r.q_code, True)
+                for r in classify(n, workers=workers)
+            ]
 
-        monkeypatch.setattr(_engine, "search_golay", twice)
-        for call in (golay_pairs, golay_type_class_count):
-            with pytest.raises(GolayError, match="leader twice"):
-                call(8)
+        monkeypatch.setattr(search, "enumerate_classes", mistagged)
+        with pytest.raises(GolayError, match="has no member with C = D"):
+            golay_pairs(8)

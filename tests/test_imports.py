@@ -120,7 +120,7 @@ def test_a_values_are_the_unique_first_column(n):
 
     from nsq._engine import _a_values, _solutions
 
-    solutions = _solutions(n, (2, 1, 1))
+    solutions = _solutions(n)
     got, want = _a_values(solutions), np.unique(solutions[:, :1], axis=0)
     assert got.dtype == want.dtype == np.int16
     assert got.shape == want.shape and np.array_equal(got, want)

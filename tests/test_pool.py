@@ -1,9 +1,9 @@
-"""The shard pool of _engine._search: each worker builds the search's
-tables once, on its first shard, never the parent; the parent's objects
-are frozen out of the garbage collector while the pool runs and thawed
-after it, also when a worker raises; and an error in a worker reaches
-the caller.  The pool threshold is lowered so that short searches use
-the pool."""
+"""The shard pool of _engine.search_normal: each worker builds the
+search's tables once, on its first shard, never the parent; the
+parent's objects are frozen out of the garbage collector while the
+pool runs and thawed after it, also when a worker raises; and an
+error in a worker reaches the caller.  The pool threshold is lowered
+so that short searches use the pool."""
 
 import gc
 import os
@@ -31,16 +31,14 @@ def test_tables_are_built_once_per_worker(pooled, tmp_path):
         return prepare(n, tracks)
 
     pooled.setattr(_engine, "_prepare", spy)
-    for search, n in ((_engine.search_normal, 16), (_engine.search_golay, 16)):
-        log.write_text("")
-        search(n, workers=2)
-        builds = [line.split() for line in log.read_text().splitlines()]
-        pids = [pid for pid, _ in builds]
-        # 8 shards, at most one build in each of the 2 workers.
-        assert 1 <= len(pids) <= 2 and len(set(pids)) == len(pids)
-        assert str(os.getpid()) not in pids
-        # The workers were forked with the parent's objects frozen.
-        assert all(int(frozen) > 0 for _, frozen in builds)
+    _engine.search_normal(16, workers=2)
+    builds = [line.split() for line in log.read_text().splitlines()]
+    pids = [pid for pid, _ in builds]
+    # 8 shards, at most one build in each of the 2 workers.
+    assert 1 <= len(pids) <= 2 and len(set(pids)) == len(pids)
+    assert str(os.getpid()) not in pids
+    # The workers were forked with the parent's objects frozen.
+    assert all(int(frozen) > 0 for _, frozen in builds)
     assert gc.get_freeze_count() == 0
 
 
@@ -50,5 +48,5 @@ def test_worker_error_reaches_the_caller_and_thaws_the_parent(pooled):
 
     pooled.setattr(_engine, "_prepare", fail)
     with pytest.raises(RuntimeError, match="no tables for n = 12"):
-        _engine.search_golay(12, workers=2)
+        _engine.search_normal(12, workers=2)
     assert gc.get_freeze_count() == 0

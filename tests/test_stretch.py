@@ -7,9 +7,10 @@ sporadic, and that length 26 has 2 classes, both of Golay type, as
 class_counts.txt records: under a second each for 21 to 24, about 2 s
 for 25 and 26 and 9 s for 29 in one process on two cores.  Lengths 27,
 28, 30 and 31 hold no class; `nsq summary --from 27 --to 31 --threads 2`
-confirms that in about a minute.  The Golay pairs of length 26, whose
-embeddings give those 2 classes, take about 3 s in one process and 2 s
-on two workers."""
+confirms that in about a minute.  The 64 Golay pairs of length 26,
+read off those 2 classes, are checked against the separate Golay search
+on one pair per orbit (test_engine's oracle), which takes about 3 s in
+one process."""
 
 import pytest
 
@@ -17,6 +18,7 @@ from nsq.equivalence import canonical_raw
 from nsq.golay import embed, golay_pairs, golay_type_class_count
 from nsq.search import enumerate_classes
 from nsq.tables import load_tables
+from test_engine import golay_leaders_unfolded
 
 
 @pytest.mark.parametrize("n", [21, 22, 23, 24])
@@ -41,10 +43,14 @@ def test_length_26_class_count():
 
 def test_golay_pairs_of_length_26():
     # Serially, then through the worker pool, which splits the search into
-    # shards from n = 17 up.  The count embeds one pair per orbit; every
-    # pair's embeddings meet the same classes.
-    pairs = golay_pairs(26)
-    assert len(pairs) == 64
+    # shards from n = 17 up; both against the orbit leaders of a separate
+    # search, unfolded.  Every pair's embeddings meet the Golay-type
+    # classes the count counts.
+    want = golay_leaders_unfolded(26)
+    assert len(want) == 64
+    for workers in (1, 2):
+        pairs = golay_pairs(26, workers=workers)
+        assert [(pair.a.terms, pair.b.terms) for pair in pairs] == want, workers
     every = {canonical_raw(quad.raw()) for pair in pairs for quad in embed(pair)}
-    assert golay_type_class_count(26, workers=2) == len(every)
+    assert golay_type_class_count(26) == len(every)
     assert len(every) == load_tables().counts[26].gol == 2
