@@ -1,8 +1,9 @@
 """Classification toolkit for normal sequences.
 
 Binary-sequence NPAF algebra, quad codes, the order-512 symmetry group,
-the twelve-condition canonical form, exhaustive class enumeration, Golay
-pair search, and a verifier for the bundled reference tables.
+the twelve-condition canonical form, exhaustive class enumeration, the
+Golay pairs read off the classes, and a verifier for the bundled
+reference tables.
 
 The package namespace is lazy: ``import nsq`` loads none of the
 submodules, and each public name below imports its home module on first

@@ -54,13 +54,13 @@ column states 0=(+,+) 1=(+,-) 2=(-,+) 3=(-,-); the column state ids
 coincide with the central-column labels of the text codes.  For odd n
 the central column z is its own mirror image, so it is held as the raw
 quad 5*z whose two columns are both z.  A leaf is then, per sequence
-pair of the solution, one row of n - n//2 raw quads, the central (odd n)
+pair (A;A) and (C;D), one row of n - n//2 raw quads, the central (odd n)
 last.  This module is the only one that knows the raw ids or runs worker
 processes: search_normal splits the search into shards over one process
-pool when asked to, and hands back plain +1/-1 sign rows (see
-_sign_rows), never raw ids.  The search's tables depend only on n and
-the tracks (_prepare): run_search builds them on every call, and a pool
-worker once, for all the shards it runs (_shard).
+pool when asked to, and hands back each leaf's text code pair (see
+_codes), never raw ids.  The search's tables depend only on n
+(_prepare): run_search builds them on every call, and a pool worker
+once, for all the shards it runs (_shard).
 """
 
 from __future__ import annotations
@@ -74,8 +74,11 @@ from typing import Callable, NamedTuple
 # calls: measured on 2 cores, that took `nsq search --n 20` from 0.41 to
 # 0.66 s of CPU time, and enumerate_classes(25, workers=2) from 1.1 to
 # 7.1 s of wall time, its workers' threads competing for the cores.
-# OpenBLAS reads this when numpy loads, so it holds whenever numpy is
-# first imported here, as in the command line; an explicit setting wins.
+# Starting the threads costs CPU time with no BLAS call at all (importing
+# numpy: about 0.27 s with them, 0.15 s without, medians of 7 launches),
+# so this stays even if the power test stops using BLAS.  OpenBLAS reads
+# it when numpy loads: it holds whenever numpy is first imported here,
+# as in the command line; an explicit setting wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402  (after the setting above)
@@ -256,9 +259,9 @@ class _Block:
     the central's self-product lands there); syms holds the raw quads
     placed so far, (pairs, states) int8; fst is (states,), the prefix
     state.  plain and alt hold each state's plain and alternating
-    row-sum vectors as flat reach-table indices, and origin, when the
-    search asks for it, the index of the root state each state descends
-    from (else None)."""
+    row-sum vectors as flat reach-table indices, and origin the index of
+    the root state each state descends from: a placement of (C;D) carries
+    it back to its A, and the sweep of A, which needs none, holds None."""
 
     __slots__ = ("p", "syms", "fst", "plain", "alt", "origin")
 
@@ -284,8 +287,9 @@ class _Block:
         return self.p.shape[1]
 
 
-def _root(n: int, rows: int) -> _Block:
-    zero_sums = np.array([n * int(_row_strides(n, rows).sum())], dtype=np.int32)
+def _root(n: int) -> _Block:
+    """The sweep's one start state: nothing of A placed, its sums 0."""
+    zero_sums = np.array([n], dtype=np.int32)  # reach-table index of 0
     return _Block(
         np.zeros((n, 1), dtype=np.int16),
         np.zeros((0, 1), dtype=np.int8),
@@ -427,14 +431,12 @@ def _expand(block: _Block, n: int, k: int, track: TrackSpec, level: _Level) -> _
     # Materialise the survivors: symbol prefixes and prefix states.
     syms_new = np.concatenate([block.syms.take(rows_idx, axis=1), selected[None]])
     fst_new = track.trans[block.fst.take(rows_idx), selected]
-    origin = None if block.origin is None else block.origin.take(rows_idx)
-    return _Block(p_new, syms_new, fst_new, plain, alt, origin)
+    return _Block(p_new, syms_new, fst_new, plain, alt, block.origin.take(rows_idx))
 
 
-def _merge_leaves(parts: list[dict], tracks, n: int) -> dict:
+def _merge_leaves(parts: list[dict], n: int) -> dict:
     empty = np.zeros((0, n - n // 2), dtype=np.int8)
-    syms = [np.concatenate([empty] + [p["syms"][t] for p in parts]) for t in range(len(tracks))]
-    return {"syms": syms}
+    return {"syms": [np.concatenate([empty] + [p["syms"][t] for p in parts]) for t in range(2)]}
 
 
 # Most states one expansion takes.  Measured on the shift-major kernel,
@@ -563,11 +565,11 @@ def _a_values(solutions: np.ndarray) -> np.ndarray:
     return a[first][:, None]
 
 
-def _prepare(n: int, tracks) -> Callable[[tuple[int, int]], dict]:
+def _prepare(n: int) -> Callable[[tuple[int, int]], dict]:
     """The NS search, A first, as a function of the shard, with every
-    table it reads built once from n and the tracks (the row-sum
-    solutions, both level lists and the power test's angles); a pool
-    worker builds it once and runs each of its shards on it (_shard).
+    table it reads built once from n (the tracks, the row-sum solutions,
+    both level lists and the power test's angles); a pool worker builds
+    it once and runs each of its shards on it (_shard).
 
     The repeated track (A;A) is swept alone over its prefix tables with
     its row sums pruned (_sweep); each completed A must pass the power
@@ -577,7 +579,7 @@ def _prepare(n: int, tracks) -> Callable[[tuple[int, int]], dict]:
     _expand on _levels(n, cd, solutions).  Every test on A is necessary
     and the two prefix machines are independent, so the leaves are
     exactly those of the joint search of both tracks, in another order."""
-    aa, cd = tracks
+    aa, cd = ns_tracks(n)
     m = n // 2
     solutions = _solutions(n)
     sweep_levels = _levels(n, aa, _a_values(solutions), rows=1)
@@ -598,7 +600,7 @@ def _prepare(n: int, tracks) -> Callable[[tuple[int, int]], dict]:
             plain = np.concatenate([b.plain for b in held]) * strides[0] + open_rows
             alt = np.concatenate([b.alt for b in held]) * strides[0] + open_rows
             held.clear()
-            a = _spell(a_syms, n, TOP_LEFT, TOP_RIGHT)
+            a = _spell(a_syms, n)
             count = a.shape[1]
             p = np.zeros((n, count), dtype=np.int16)
             for i in range(1, n):
@@ -625,7 +627,7 @@ def _prepare(n: int, tracks) -> Callable[[tuple[int, int]], dict]:
             nonlocal waiting
             for lo in range(0, len(block), CHUNK):
                 part = block.take(slice(lo, lo + CHUNK))
-                keep = _psd_keep(_spell(part.syms, n, TOP_LEFT, TOP_RIGHT, PSD_FLOAT), n, tables)
+                keep = _psd_keep(_spell(part.syms, n, PSD_FLOAT), n, tables)
                 if len(keep):
                     held.append(part.take(keep))
                     waiting += len(keep)
@@ -633,22 +635,21 @@ def _prepare(n: int, tracks) -> Callable[[tuple[int, int]], dict]:
                 place()
 
         _descend(
-            _root(n, 1), 0, n - m,
+            _root(n), 0, n - m,
             lambda block, k: _sweep(block, n, k, aa, sweep_levels[k]),
             admit, shard, min(3, m),
         )
         if held:
             place()
-        return _merge_leaves(leaves, tracks, n)
+        return _merge_leaves(leaves, n)
 
     return search
 
 
-def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
-    """Enumerate every canonical-form candidate of NS(n), the tracks being
-    ns_tracks(n).  Returns {"syms": per sequence pair of a leaf, (A;A)
-    then (C;D), one row of n - n//2 raw quads per leaf}, the central (odd
-    n) as the last quad.
+def run_search(n: int, shard: tuple[int, int] = (0, 1)) -> dict:
+    """Enumerate every canonical-form candidate of NS(n).  Returns
+    {"syms": per sequence pair of a leaf, (A;A) then (C;D), one row of
+    n - n//2 raw quads per leaf}, the central (odd n) as the last quad.
 
     A is swept first and (C;D) placed on each survivor (_prepare).
     shard=(i, w) keeps every w-th state of the sweep's frontier after
@@ -656,7 +657,7 @@ def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
     i = 0..w-1 partition the search.  Every call builds the search's
     tables anew.
     """
-    return _prepare(n, tracks)(shard)
+    return _prepare(n)(shard)
 
 
 # Searches shorter than this run in-process whatever the worker count.
@@ -673,58 +674,61 @@ def run_search(n: int, tracks, shard: tuple[int, int] = (0, 1)) -> dict:
 POOL_MIN_N = 17
 
 
-def _spell(syms: np.ndarray, n: int, left, right, dtype=np.int8) -> np.ndarray:
-    """The +1/-1 sequences, shape (n, states), that one row of the raw
-    quads syms (pairs, states) spells, left and right giving that row's
-    sign in a quad's two columns: each quad's left column fills the first
-    n - n//2 positions in order, and its right column the last n - n//2
-    in reverse.  For odd n both reach the central position, where the
-    central quad's two columns agree."""
+def _spell(syms: np.ndarray, n: int, dtype=np.int8) -> np.ndarray:
+    """The +1/-1 sequences A, shape (n, states), that the raw quads syms
+    (pairs, states) of (A;A) spell: each quad's left column fills the
+    first n - n//2 positions in order, and its right column the last
+    n - n//2 in reverse.  For odd n both reach the central position,
+    where the central quad's two columns agree."""
     m = n // 2
     out = np.empty((n, syms.shape[1]), dtype=dtype)
-    out[:n - m], out[m:] = left.take(syms), right.take(syms)[::-1]
+    out[:n - m], out[m:] = TOP_LEFT.take(syms), TOP_RIGHT.take(syms)[::-1]
     return out
 
 
-def _sign_rows(leaves: dict, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per sequence pair of the leaves, its top and bottom +1/-1 rows, one
-    row per leaf: shape (leaves, n)."""
-    return [
-        tuple(
-            np.ascontiguousarray(_spell(syms.T, n, left, right).T)
-            for left, right in ((TOP_LEFT, TOP_RIGHT), (BOT_LEFT, BOT_RIGHT))
-        )
-        for syms in leaves["syms"]
-    ]
+# The label of each raw quad id in the text codes (0 for no quad).
+_LABELS = np.zeros(16, dtype=np.int8)
+_LABELS[list(_CD_RAWS)] = np.arange(1, 9)
 
 
-# What a pool worker searches, set by _start_worker: n, the tracks, the
-# shard count and, from the worker's first shard on, the search itself.
+def _codes(syms: np.ndarray, n: int) -> list[str]:
+    """The text code of each leaf row of raw quads (leaves, n - n//2):
+    the quads' labels, then for odd n the central digit z of the raw
+    quad 5*z."""
+    digits = _LABELS.take(syms)
+    if n % 2:
+        digits[:, -1] = syms[:, -1] // 5
+    return ["".join(map(str, row)) for row in digits.tolist()]
+
+
+# What a pool worker searches, set by _start_worker: n, the shard count
+# and, from the worker's first shard on, the search itself.
 _worker: dict = {}
 
 
-def _start_worker(n: int, tracks, shards: int) -> None:
+def _start_worker(n: int, shards: int) -> None:
     """Pool initializer.  The search's tables are built on the worker's
     first shard (_shard), in the worker: the parent, which holds the
     leaves, never holds them, and an error in building them reaches the
     parent as that shard's error (a failing initializer would have the
     pool start new workers without end)."""
     _worker.clear()
-    _worker.update(n=n, tracks=tracks, shards=shards)
+    _worker.update(n=n, shards=shards)
 
 
-def _shard(i: int) -> tuple[int, dict]:
+def _shard(i: int) -> dict:
     if "search" not in _worker:
-        _worker["search"] = _prepare(_worker["n"], _worker["tracks"])
-    return i, _worker["search"]((i, _worker["shards"]))
+        _worker["search"] = _prepare(_worker["n"])
+    return _worker["search"]((i, _worker["shards"]))
 
 
-def search_normal(n: int, workers: int = 1):
-    """All canonical-form candidates for NS(n) as sign rows
-    [(A, A), (C, D)], one row per candidate in each array: searched in
-    this process by run_search, or split into workers * 4 shards over one
+def search_normal(n: int, workers: int = 1) -> list[tuple[str, str]]:
+    """All canonical-form candidates for NS(n), one (p_code, q_code)
+    text code pair per candidate, in no set order: searched in this
+    process by run_search, or split into workers * 4 shards over one
     pool of workers processes, handed out one at a time as workers come
-    free; the parts are merged in shard order.
+    free; the parts are merged in shard order, and a failed shard's error
+    is raised once every shard has ended.
 
     Each worker pays the pool's fixed costs once: it builds the tables
     on its first shard and runs its later shards on them, and a job is
@@ -732,7 +736,6 @@ def search_normal(n: int, workers: int = 1):
     garbage collector while the pool runs (gc.freeze), so a forked
     worker's collections do not touch, and copy, the pages it shares
     with the parent."""
-    tracks = ns_tracks(n)
     if workers > 1 and n >= POOL_MIN_N:
         import gc
         import multiprocessing
@@ -740,11 +743,17 @@ def search_normal(n: int, workers: int = 1):
         shards = workers * 4
         gc.freeze()
         try:
-            with multiprocessing.Pool(workers, _start_worker, (n, tracks, shards)) as pool:
-                parts = dict(pool.imap_unordered(_shard, range(shards)))
+            with multiprocessing.Pool(workers, _start_worker, (n, shards)) as pool:
+                jobs = [pool.apply_async(_shard, (i,)) for i in range(shards)]
+                # Every shard ends first, also after an error: leaving the
+                # pool kills the workers, and one killed while it writes a
+                # result keeps the result queue's lock and hangs the exit.
+                pool.close()
+                pool.join()
         finally:
             gc.unfreeze()
-        leaves = _merge_leaves([parts[i] for i in range(shards)], tracks, n)
+        leaves = _merge_leaves([job.get() for job in jobs], n)
     else:
-        leaves = run_search(n, tracks)
-    return _sign_rows(leaves, n)
+        leaves = run_search(n)
+    aa, cd = leaves["syms"]
+    return list(zip(_codes(aa, n), _codes(cd, n)))

@@ -200,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsq",
         description="Classify normal sequences: enumerate classes, canonicalise "
-        "codes, verify the bundled reference tables, and search Golay pairs.",
+        "codes, verify the bundled reference tables, and list the Golay pairs "
+        "the classes contain.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -246,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="single length (default: 4 and 5)")
     p.set_defaults(func=_cmd_verify_relations)
 
-    p = sub.add_parser("golay", help="exhaustive Golay pair search")
+    p = sub.add_parser("golay", help="the Golay pairs of one length, read off its classes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count-classes", action="store_true", help="print the Golay-type class count")
     add_common(p)

@@ -19,11 +19,8 @@ from .equivalence import canonical_raw  # noqa: F401  (perfbench/nsq_trace.py wr
 
 
 class GolayError(ValueError):
-    """Raised for invalid pairs, out-of-budget searches, or a Golay-type
-    class with no member C = D (must never happen)."""
-
-
-MAX_EXHAUSTIVE = 26
+    """Raised for invalid pairs, or a Golay-type class with no member
+    C = D (must never happen)."""
 
 
 @dataclass(frozen=True)
@@ -47,13 +44,8 @@ class GolayPair:
 
 
 def _golay_type_records(n: int, workers: int) -> list[search.ClassRecord]:
-    """The Golay-type classes of NS(n), exhaustively."""
-    if n < 1:
-        raise GolayError("n must be at least 1")
-    if n > MAX_EXHAUSTIVE:
-        raise GolayError(
-            f"exhaustive pair search is budgeted up to n = {MAX_EXHAUSTIVE}"
-        )
+    """The Golay-type classes of NS(n), exhaustively, within the class
+    search's budget (search.MAX_EXHAUSTIVE)."""
     return [r for r in search.enumerate_classes(n, workers=workers) if r.golay_type]
 
 

@@ -4,8 +4,9 @@ The enumerator sweeps the (A;A) code prefix first, keeps the A's that
 pass the row-sum and power-spectrum tests, and completes each with the
 (C;D) code prefix in an outward-in branch-and-bound (see _engine); every
 leaf already satisfies the twelve canonical-form conditions, so the
-classes are exactly the leaves.  Each leaf is nonetheless re-verified
-through the independent sequence-level predicates before it is emitted.
+classes are exactly the leaves.  The engine hands back each leaf's code
+pair, which is nonetheless decoded and re-verified through the
+independent sequence-level predicates before it is emitted.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import BinarySeq, NormalQuadruple, is_normal, three_squares_feasible
+from .core import NormalQuadruple, is_normal, three_squares_feasible
 from .equivalence import _golay_type, canonical_raw, canonical_violation
 from .equivalence import is_golay_type  # noqa: F401  (perfbench/nsq_trace.py wraps it here)
-from .quadcodec import decode_quadruple, encode_quadruple, parse_code
+from .quadcodec import decode_quadruple, parse_code
 
 
 class SearchError(RuntimeError):
@@ -41,7 +42,8 @@ class ClassRecord:
 MAX_EXHAUSTIVE = 31
 
 
-def _verified(quad: NormalQuadruple, p_text: str, q_text: str) -> NormalQuadruple:
+def _verified(n: int, p_text: str, q_text: str) -> NormalQuadruple:
+    quad = decode_quadruple(*parse_code(f"{p_text} {q_text}", n=n))
     if not is_normal(quad):
         raise SearchError(f"leaf {p_text} {q_text} is not normal")
     violation = canonical_violation(quad)
@@ -74,20 +76,13 @@ def enumerate_classes(n: int, workers: int = 1) -> list[ClassRecord]:
         return []
     from . import _engine  # numpy loads only when a search runs
 
-    (a_rows, _), (c_rows, d_rows) = _engine.search_normal(n, workers)
-    leaves = []
-    for a, c, d in zip(a_rows.tolist(), c_rows.tolist(), d_rows.tolist()):
-        quad = NormalQuadruple(BinarySeq(a), BinarySeq(c), BinarySeq(d))
-        p, q = encode_quadruple(quad)
-        leaves.append((p.text, q.text, quad))
-    leaves.sort(key=lambda leaf: leaf[:2])
     records = []
     previous = None
-    for rank, (p_text, q_text, quad) in enumerate(leaves, start=1):
+    for rank, (p_text, q_text) in enumerate(sorted(_engine.search_normal(n, workers)), start=1):
         if (p_text, q_text) == previous:
             raise SearchError(f"duplicate class {p_text} {q_text}")
         previous = (p_text, q_text)
-        _verified(quad, p_text, q_text)
+        quad = _verified(n, p_text, q_text)
         golay = _golay_type(quad.c.terms, quad.d.terms)  # normal, checked above
         records.append(ClassRecord(n, rank, p_text, q_text, golay))
     return records
@@ -108,8 +103,7 @@ def summarize(n_lo: int, n_hi: int, workers: int = 1) -> list[tuple[int, int, in
 
 def record_quadruple(record: ClassRecord) -> NormalQuadruple:
     """Decode a record back into its representative quadruple."""
-    p, q = parse_code(f"{record.p_code} {record.q_code}", n=record.n)
-    return _verified(decode_quadruple(p, q), record.p_code, record.q_code)
+    return _verified(record.n, record.p_code, record.q_code)
 
 
 @lru_cache(maxsize=10)

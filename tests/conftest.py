@@ -1,3 +1,11 @@
+# Before any test module imports numpy: nsq._engine sets this too, but
+# OpenBLAS reads it only when numpy first loads, and a multithreaded
+# OpenBLAS slows the pooled searches several times over (its threads
+# compete with the workers for the cores).
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import random
 
 import pytest

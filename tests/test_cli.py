@@ -81,6 +81,7 @@ class TestSearch:
         ("search", "--n", str(MAX_EXHAUSTIVE + 1)),
         ("summary", "--from", "1", "--to", "100000"),
         ("diff-tables", "--n", str(MAX_EXHAUSTIVE + 1)),
+        ("golay", "--n", str(MAX_EXHAUSTIVE + 1)),
     ])
     def test_beyond_budget_is_usage_error(self, capsys, command):
         code, out, err = run(capsys, *command)
@@ -216,9 +217,17 @@ class TestGolayCommand:
         code, out, _ = run(capsys, "golay", "--n", "8", "--count-classes", "--format", "json")
         assert json.loads(out) == {"n": 8, "golay_type_classes": 6}
 
-    def test_budget_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "golay", "--n", "27")
-        assert code == 2 and "budget" in err
+    def test_budget_is_usage_error(self, capsys, monkeypatch):
+        # golay reads the pairs off the class search, within its budget.
+        from nsq import search
+
+        monkeypatch.setattr(search, "MAX_EXHAUSTIVE", 8)
+        code, out, err = run(capsys, "golay", "--n", "8", "--count-classes")
+        assert code == 0 and out.strip() == "6"
+        for argv in (("golay", "--n", "10"), ("golay", "--n", "10", "--count-classes")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == "error: exhaustive class search is budgeted up to n = 8\n"
 
 
 class TestEnvThreads:
@@ -275,7 +284,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
         (("canon", "99", "99"), "cannot parse '99 99' as a code pair"),  # CodeError
         (("npaf", "+x"), "unexpected character 'x' in sequence '+x'"),  # SequenceError
-        (("golay", "--n", "27"), "exhaustive pair search is budgeted up to n = 26"),  # GolayError
+        (("golay", "--n", "32"), "exhaustive class search is budgeted up to n = 31"),  # ValueError
         (("verify-tables", "--data", "{missing}"), "cannot read {missing}"),  # TableError
     ])
     def test_library_error_exits_2(self, capsys, tmp_path, argv, message):

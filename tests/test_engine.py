@@ -51,8 +51,10 @@ from nsq._engine import (
     TOP_RIGHT,
     _DD_FLAT,
     _FORBIDDEN,
+    _LABELS,
     _SS_FLAT,
     _bounds,
+    _codes,
     _expand,
     _levels,
     _merge_leaves,
@@ -62,23 +64,30 @@ from nsq._engine import (
     _reach_table,
     _root,
     _row_strides,
-    _sign_rows,
     _solutions,
     _spell,
     _sweep,
     run_search,
     ns_tracks,
 )
+from nsq.core import BinarySeq, NormalQuadruple
 from nsq.golay import golay_pairs
-from nsq.quadcodec import AA_QUADS, QUAD_MATRICES
+from nsq.quadcodec import AA_QUADS, CENTRAL_COLUMNS, QUAD_MATRICES, encode_quadruple
+from nsq.tables import load_tables
 
 
 def test_raw_ids_spell_the_quad_labels():
-    # The prefix filters name quads by label; the sign rows decode raw ids.
-    for label, raw in enumerate(_CD_RAWS, start=1):
-        signs = (TOP_LEFT[raw], TOP_RIGHT[raw], BOT_LEFT[raw], BOT_RIGHT[raw])
-        assert tuple(int(v) for v in signs) == QUAD_MATRICES[label]
+    # The prefix filters name quads by label, and the label table reads
+    # the codes off the raw ids; the sign tables spell each raw id.
+    labels = {signs: label for label, signs in QUAD_MATRICES.items()}
+    for raw in range(16):
+        signs = tuple(int(t[raw]) for t in (TOP_LEFT, TOP_RIGHT, BOT_LEFT, BOT_RIGHT))
+        assert _LABELS[raw] == labels.get(signs, 0)
+    assert [_LABELS[raw] for raw in _CD_RAWS] == list(range(1, 9))
     assert {_CD_RAWS.index(raw) + 1 for raw in _AA_RAWS} == AA_QUADS
+    # The central column z, held as the raw quad 5*z, both columns z.
+    for z, column in CENTRAL_COLUMNS.items():
+        assert (TOP_LEFT[5 * z], BOT_LEFT[5 * z]) == (TOP_RIGHT[5 * z], BOT_RIGHT[5 * z]) == column
 
 
 def ns_solutions(n: int) -> np.ndarray:
@@ -351,7 +360,7 @@ def central_leaves_oracle(block: JointBlock, n: int, tracks) -> dict:
         if len(idx):
             syms = [np.insert(block.syms[t][:, idx].T, m, 5 * z, axis=1) for t, z in enumerate(zs)]
             parts.append({"syms": syms})
-    return _merge_leaves(parts, tracks, n)
+    return merge_leaves(parts, tracks, n)
 
 
 def pair_complete_leaves(block: JointBlock, n: int, tracks) -> dict:
@@ -384,6 +393,13 @@ def joint_kernel(n: int):
     )
 
 
+def merge_leaves(parts: list[dict], tracks, n: int) -> dict:
+    """The library's _merge_leaves for any number of tracks: per track,
+    the leaf rows of every part, in order."""
+    empty = np.zeros((0, n - n // 2), dtype=np.int8)
+    return {"syms": [np.concatenate([empty] + [p["syms"][t] for p in parts]) for t in range(len(tracks))]}
+
+
 # Raw ids whose columns are orthogonal; these are the only quads a pair
 # with identically vanishing combined correlation can contain.
 ORTHOGONAL_RAWS = tuple(int(i) for i in np.flatnonzero(SC == 0))
@@ -414,6 +430,21 @@ def golay_tracks(n: int) -> tuple[_engine.TrackSpec]:
     return (track,)
 
 
+def golay_root(n: int) -> _engine._Block:
+    """The one start state of a Golay search: nothing placed, the row
+    sums of both sequences 0, and its own index as its origin (_expand
+    carries it)."""
+    zero_sums = np.array([n * int(_row_strides(n, 2).sum())], dtype=np.int32)
+    return _engine._Block(
+        np.zeros((n, 1), dtype=np.int16),
+        np.zeros((0, 1), dtype=np.int8),
+        np.zeros(1, dtype=np.int8),
+        zero_sums,
+        zero_sums.copy(),
+        np.zeros(1, dtype=np.int32),
+    )
+
+
 def golay_leader_search(n: int):
     """The Golay search on one member per orbit, as a function of the
     shard, its levels built once: the leader track placed column by
@@ -430,12 +461,12 @@ def golay_leader_search(n: int):
     def search(shard: tuple[int, int]) -> dict:
         leaves: list[dict] = []
         _engine._descend(
-            _root(n, 2), 0, n - m,
+            golay_root(n), 0, n - m,
             lambda block, k: _engine._expand(block, n, k, track, levels[k]),
             lambda block: leaves.append({"syms": [block.syms.T]}),
             shard, min(3, m),
         )
-        return _merge_leaves(leaves, tracks, n)
+        return merge_leaves(leaves, tracks, n)
 
     return search
 
@@ -461,7 +492,7 @@ def golay_kernel(n: int):
     (track,) = full_golay_tracks(n)
     levels = _levels(n, track, golay_solutions(n))
     return (
-        _root(n, 2),
+        golay_root(n),
         lambda block, k: _expand(block, n, k, track, levels[k]),
         lambda block: pair_complete_leaves(joint_block(block), n, (track,)),
     )
@@ -504,7 +535,7 @@ def joint_search(n: int) -> dict:
     root, expand, finish = joint_kernel(n)
     leaves = []
     depth_first(root, 0, n // 2, expand, lambda block: leaves.append(finish(block)))
-    return _merge_leaves(leaves, ns_tracks(n), n)
+    return _merge_leaves(leaves, n)
 
 
 def leaf_rows(leaves: dict) -> list[tuple]:
@@ -525,7 +556,7 @@ def prepare(kind: str, n: int):
     """The search of a kind as a function of the shard: the library's NS
     search, or the Golay leader search of this module."""
     if kind == "ns":
-        return _engine._prepare(n, ns_tracks(n))
+        return _engine._prepare(n)
     return golay_leader_search(n)
 
 
@@ -540,7 +571,7 @@ def oracle(kind: str, n: int) -> tuple[list[int], list[tuple]]:
     library's kernel on the unrestricted track for Golay, which searches
     every ordered pair."""
     sizes, parts = level_search(n, *KERNELS[kind](n))
-    return sizes, leaf_rows(_merge_leaves(parts, search_inputs(kind, n), n))
+    return sizes, leaf_rows(merge_leaves(parts, search_inputs(kind, n), n))
 
 
 def oracle_leaves(kind: str, n: int) -> list[tuple]:
@@ -622,15 +653,52 @@ def test_golay_leaders_are_distinct(n):
     search = golay_leader_search(n)
     for shards in (1, 2, 8):
         parts = [search((i, shards)) for i in range(shards)]
-        rows = leaf_rows(_merge_leaves(parts, tracks, n))
+        rows = leaf_rows(merge_leaves(parts, tracks, n))
         assert len(set(rows)) == len(rows), shards
+
+
+def spell_rows(rows: np.ndarray, n: int, left, right) -> np.ndarray:
+    """The +1/-1 rows, shape (leaves, n), that leaf rows of raw quads
+    (leaves, n - n//2) spell, left and right being one row's signs in a
+    quad's two columns (TOP_* or BOT_*): the left columns fill the first
+    n - n//2 positions in order, the right columns the last n - n//2 in
+    reverse, and both reach the central of odd n."""
+    m = n // 2
+    out = np.empty((len(rows), n), dtype=np.int8)
+    out[:, :n - m], out[:, m:] = left[rows], right[rows][:, ::-1]
+    return out
 
 
 def sign_pairs(rows, n: int) -> list[tuple]:
     """Golay leaves, rows of raw quads, as sorted (A, B) sign tuples."""
     rows = np.array(rows, dtype=np.int8).reshape(-1, n - n // 2)
-    ((a, b),) = _sign_rows({"syms": [rows]}, n)
-    return sorted(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
+    a, b = (spell_rows(rows, n, *tables).tolist() for tables in ((TOP_LEFT, TOP_RIGHT), (BOT_LEFT, BOT_RIGHT)))
+    return sorted(zip(map(tuple, a), map(tuple, b)))
+
+
+@pytest.mark.parametrize("n", range(1, 23))
+def test_codes_are_the_encoded_sign_rows(monkeypatch, n):
+    # The code pairs search_normal reads off the leaves through the label
+    # table are quadcodec's codes of the leaves spelled by the sign
+    # tables: A from the top row of (A;A), C and D from (C;D).
+    searched = []
+
+    def spy(n_, shard=(0, 1)):
+        searched.append(run_search(n_, shard))
+        return searched[-1]
+
+    monkeypatch.setattr(_engine, "run_search", spy)
+    got = _engine.search_normal(n)
+    ((aa, cd),) = [leaves["syms"] for leaves in searched]
+    want = []
+    for a, c, d in zip(*(
+        spell_rows(rows, n, *tables).tolist()
+        for rows, tables in ((aa, (TOP_LEFT, TOP_RIGHT)), (cd, (TOP_LEFT, TOP_RIGHT)), (cd, (BOT_LEFT, BOT_RIGHT)))
+    )):
+        p, q = encode_quadruple(NormalQuadruple(BinarySeq(a), BinarySeq(c), BinarySeq(d)))
+        want.append((p.text, q.text))
+    assert got == want == list(zip(_codes(aa, n), _codes(cd, n)))
+    assert len(got) == load_tables().counts[n].equ
 
 
 def golay_leaders_unfolded(n: int) -> list[tuple]:
@@ -679,19 +747,18 @@ def test_shards_partition_the_search(kind, n, shards):
     tracks = search_inputs(kind, n)
     search = prepare(kind, n)
     parts = [search((i, shards)) for i in reversed(range(shards))]
-    assert leaf_rows(_merge_leaves(parts, tracks, n)) == oracle_leaves(kind, n)
+    assert leaf_rows(merge_leaves(parts, tracks, n)) == oracle_leaves(kind, n)
 
 
 @pytest.mark.parametrize("n", range(21, 25))
 def test_a_first_matches_joint_search_past_20(n):
     # Past n = 20 the level-synchronous oracle holds too much at once; the
     # joint chunked descent is the oracle, serially and in 8 shards.
-    tracks = ns_tracks(n)
     want = leaf_rows(joint_search(n))
-    assert leaf_rows(run_search(n, tracks)) == want
-    search = _prepare(n, tracks)
+    assert leaf_rows(run_search(n)) == want
+    search = _prepare(n)
     parts = [search((i, 8)) for i in reversed(range(8))]
-    assert leaf_rows(_merge_leaves(parts, tracks, n)) == want
+    assert leaf_rows(_merge_leaves(parts, n)) == want
 
 
 def test_joint_search_matches_level_synchronous_oracle():
@@ -715,7 +782,7 @@ def a_first_frontiers(monkeypatch, n: int):
     monkeypatch.setattr(_engine, "_sweep", counting(_sweep, sweep))
     monkeypatch.setattr(_engine, "_expand", counting(_expand, place))
     monkeypatch.setattr(_engine, "_psd_keep", psd_spy)
-    leaves = run_search(n, ns_tracks(n))
+    leaves = run_search(n)
     monkeypatch.undo()
     last = n - n // 2
     return (
@@ -1003,14 +1070,14 @@ def test_central_table_matches_symbol_scan(monkeypatch, n):
     def spy(fn):
         def central_spy(block, n_, k, track, level):
             if 2 * k > n_:
-                (t,) = [i for i, known in enumerate(tracks) if known is track]
+                (t,) = [i for i, known in enumerate(tracks) if np.array_equal(known.alphabet, track.alphabet)]
                 placed.append(((t,), [block.fst], [block.syms.T]))
             return fn(block, n_, k, track, level)
         return central_spy
 
     monkeypatch.setattr(_engine, "_sweep", spy(_sweep))
     monkeypatch.setattr(_engine, "_expand", spy(_expand))
-    run_search(n, tracks)
+    run_search(n)
     root, expand, _ = joint_kernel(n)
     depth_first(root, 0, n // 2, expand, lambda b: joint.append(((0, 1), list(b.fst), [s.T for s in b.syms])))
     assert {ids for ids, _, _ in placed} == {(0,), (1,)}
@@ -1043,7 +1110,7 @@ def test_central_broadcast_matches_per_combination_oracle(monkeypatch, kind, n):
     assert steps or (kind == "golay" and n > 1)
     for track, block, got in steps:
         syms = [] if got is None else [{"syms": [got.syms.T]}]
-        assert leaf_rows(_merge_leaves(syms, (track,), n)) == leaf_rows(
+        assert leaf_rows(merge_leaves(syms, (track,), n)) == leaf_rows(
             central_leaves_oracle(joint_block(block), n, (track,))
         )
         assert got is None or got.syms.dtype == np.int8
@@ -1073,19 +1140,18 @@ def sweep_one(n: int, a: tuple[int, ...]):
     column = [0 if v > 0 else 3 for v in a]
     quads = [4 * column[k] + column[n - 1 - k] for k in range(n // 2)]
     quads += [5 * column[n // 2]] * (n % 2)
-    block = _root(n, 1)
+    block = _root(n)
     for k, quad in enumerate(quads, start=1):
         out = _sweep(block, n, k, aa, levels[k])
         if out is None or quad not in out.syms[k - 1]:
             return None
         block = out.take(np.flatnonzero(out.syms[k - 1] == quad))
-    return _spell(block.syms, n, TOP_LEFT, TOP_RIGHT)
+    return _spell(block.syms, n)
 
 
 def canonical_representatives():
     from nsq.equivalence import canonical_raw
     from nsq.quadcodec import decode_quadruple, parse_code
-    from nsq.tables import load_tables
 
     for row in load_tables().reps:
         raw = decode_quadruple(*parse_code(f"{row.p_code} {row.q_code}", n=row.n)).raw()

@@ -75,9 +75,14 @@ class TestPairSearch:
         for n in (3, 5, 7, 9, 11, 13, 15, 17, 19):
             assert golay_pairs(n) == []
 
-    def test_budget(self):
-        with pytest.raises(GolayError):
-            golay_pairs(27)
+    def test_budget(self, monkeypatch):
+        # The pairs are read off the classes, so the class search's budget
+        # is the one budget.
+        monkeypatch.setattr(search, "MAX_EXHAUSTIVE", 8)
+        assert len(golay_pairs(8)) == PAIR_COUNTS[8]
+        for count in (golay_pairs, golay_type_class_count):
+            with pytest.raises(ValueError, match="budgeted up to n = 8"):
+                count(10)
 
     def test_invalid_pair_rejected(self):
         with pytest.raises(GolayError):

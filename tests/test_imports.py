@@ -87,8 +87,8 @@ from nsq import _engine
 log = sys.argv.pop(1)
 prepare = _engine._prepare
 
-def reporting(n, tracks):
-    search = prepare(n, tracks)
+def reporting(n):
+    search = prepare(n)
 
     def run(shard):
         leaves = search(shard)

@@ -25,10 +25,10 @@ def test_tables_are_built_once_per_worker(pooled, tmp_path):
     log = tmp_path / "builds"
     prepare = _engine._prepare
 
-    def spy(n, tracks):
+    def spy(n):
         with open(log, "a") as f:
             f.write(f"{os.getpid()} {gc.get_freeze_count()}\n")
-        return prepare(n, tracks)
+        return prepare(n)
 
     pooled.setattr(_engine, "_prepare", spy)
     _engine.search_normal(16, workers=2)
@@ -43,7 +43,7 @@ def test_tables_are_built_once_per_worker(pooled, tmp_path):
 
 
 def test_worker_error_reaches_the_caller_and_thaws_the_parent(pooled):
-    def fail(n, tracks):
+    def fail(n):
         raise RuntimeError(f"no tables for n = {n}")
 
     pooled.setattr(_engine, "_prepare", fail)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from nsq.core import NormalQuadruple, is_normal
@@ -5,6 +7,7 @@ from nsq.equivalence import canonical_raw, is_canonical, is_golay_type
 from nsq.search import (
     MAX_EXHAUSTIVE,
     ClassRecord,
+    SearchError,
     enumerate_classes,
     exhaustive_normal_quadruples,
     record_quadruple,
@@ -99,6 +102,22 @@ class TestEnumerate:
         records = enumerate_classes(16)
         assert len(checked) == len(records) == 52
         assert sum(r.golay_type for r in records) == 48
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([("1", "6"), ("1", "6")], "duplicate class 1 6"),
+        ([("1", "1")], "leaf 1 1 is not normal"),
+        ([("6", "1")], "leaf 6 1 violates (i) at p_1"),
+    ])
+    def test_bad_leaf_is_refused(self, monkeypatch, pairs, message):
+        # Each code pair the engine hands back is re-verified: a class
+        # found twice, a pair that decodes to a quadruple that is not
+        # normal, and a normal one that breaks a canonical-form condition
+        # are refused.  Must never happen.
+        from nsq import _engine
+
+        monkeypatch.setattr(_engine, "search_normal", lambda n, workers=1: list(pairs))
+        with pytest.raises(SearchError, match=re.escape(message)):
+            enumerate_classes(2)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
