@@ -701,58 +701,51 @@ def _codes(syms: np.ndarray, n: int) -> list[str]:
     return ["".join(map(str, row)) for row in digits.tolist()]
 
 
-# What a pool worker searches, set by _start_worker: n, the shard count
-# and, from the worker's first shard on, the search itself.
+# A pool worker's search of NS(n) by n, built on its first shard.
 _worker: dict = {}
 
 
-def _start_worker(n: int, shards: int) -> None:
-    """Pool initializer.  The search's tables are built on the worker's
-    first shard (_shard), in the worker: the parent, which holds the
-    leaves, never holds them, and an error in building them reaches the
-    parent as that shard's error (a failing initializer would have the
-    pool start new workers without end)."""
-    _worker.clear()
-    _worker.update(n=n, shards=shards)
-
-
-def _shard(i: int) -> dict:
-    if "search" not in _worker:
-        _worker["search"] = _prepare(_worker["n"])
-    return _worker["search"]((i, _worker["shards"]))
+def _shard(n: int, shards: int, i: int) -> dict:
+    """Shard i in a pool worker, which builds the tables itself (not in an
+    initializer), so an error in building them reaches the parent as is."""
+    if n not in _worker:
+        _worker[n] = _prepare(n)
+    return _worker[n]((i, shards))
 
 
 def search_normal(n: int, workers: int = 1) -> list[tuple[str, str]]:
     """All canonical-form candidates for NS(n), one (p_code, q_code)
     text code pair per candidate, in no set order: searched in this
     process by run_search, or split into workers * 4 shards over one
-    pool of workers processes, handed out one at a time as workers come
-    free; the parts are merged in shard order, and a failed shard's error
-    is raised once every shard has ended.
+    pool of workers forked processes, which take the shards one at a
+    time as they come free; the parts are merged in shard order.  A
+    shard's error is raised once the running shards end; a worker that
+    dies fails the search at once with ChildProcessError.
 
     Each worker pays the pool's fixed costs once: it builds the tables
-    on its first shard and runs its later shards on them, and a job is
-    just the shard's index.  The parent's objects are frozen out of the
-    garbage collector while the pool runs (gc.freeze), so a forked
-    worker's collections do not touch, and copy, the pages it shares
-    with the parent."""
+    on its first shard and runs its later shards on them.  The parent's
+    objects are frozen out of the garbage collector while the pool runs
+    (gc.freeze), so a forked worker's collections do not touch, and
+    copy, the pages it shares with the parent."""
     if workers > 1 and n >= POOL_MIN_N:
+        import functools
         import gc
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, process
 
         shards = workers * 4
         gc.freeze()
         try:
-            with multiprocessing.Pool(workers, _start_worker, (n, shards)) as pool:
-                jobs = [pool.apply_async(_shard, (i,)) for i in range(shards)]
-                # Every shard ends first, also after an error: leaving the
-                # pool kills the workers, and one killed while it writes a
-                # result keeps the result queue's lock and hangs the exit.
-                pool.close()
-                pool.join()
+            # Fork, also where it is not the default: the workers share
+            # the parent's frozen heap and see its module state.
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+                leaves = _merge_leaves(
+                    list(pool.map(functools.partial(_shard, n, shards), range(shards))), n
+                )
+        except process.BrokenProcessPool as exc:
+            raise ChildProcessError(f"a search worker died: {exc}") from exc
         finally:
             gc.unfreeze()
-        leaves = _merge_leaves([job.get() for job in jobs], n)
     else:
         leaves = run_search(n)
     aa, cd = leaves["syms"]

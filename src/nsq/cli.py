@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success (known discrepancies only produce warnings),
-1 verification findings beyond the allowlist, 2 usage errors.
+1 verification findings beyond the allowlist or a failed search (a dead
+worker), 2 usage errors.
 
 Each handler imports the modules its command runs, and nothing else is
 imported up front, so a launch pays only for the command it runs.
@@ -270,6 +271,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # CodeError, SequenceError, GolayError, TableError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ChildProcessError as exc:  # a search worker died
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

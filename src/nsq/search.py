@@ -62,7 +62,8 @@ def _check_budget(n: int) -> None:
 def enumerate_classes(n: int, workers: int = 1) -> list[ClassRecord]:
     """One record per equivalence class of NS(n), in code order.
 
-    The worker count changes the schedule, not the output.
+    The worker count changes the schedule, not the output; a pool
+    worker that dies raises ChildProcessError.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -31,7 +31,10 @@ except SystemExit as exc:
 print(*sys.modules)
 """
 
-NEVER_AT_START = {"numpy", "nsq._engine", "multiprocessing", "logging", "json", "dataclasses"}
+NEVER_AT_START = {
+    "numpy", "nsq._engine", "multiprocessing", "concurrent.futures", "logging", "json",
+    "dataclasses",
+}
 
 
 def loaded(code: str, *args: str) -> set[str]:
@@ -75,7 +78,7 @@ def test_command_without_search_loads_no_numpy(argv, unused):
 def test_serial_search_loads_no_pool():
     modules = loaded(CLI, "search", "--n", "8", "--threads", "1")
     assert {"numpy", "nsq._engine", "nsq.search"} <= modules
-    assert "multiprocessing" not in modules
+    assert not {"multiprocessing", "concurrent.futures"} & modules
 
 
 # CLI, with every search, in this process or in a pool worker, appending

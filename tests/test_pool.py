@@ -1,16 +1,20 @@
 """The shard pool of _engine.search_normal: each worker builds the
 search's tables once, on its first shard, never the parent; the
 parent's objects are frozen out of the garbage collector while the
-pool runs and thawed after it, also when a worker raises; and an
-error in a worker reaches the caller.  The pool threshold is lowered
-so that short searches use the pool."""
+pool runs and thawed after it, also when a worker raises or dies; an
+error in a worker reaches the caller as itself; and a worker that dies
+fails the search at once, in the library and through the CLI, rather
+than hanging it.  The pool threshold is lowered so that short searches
+use the pool."""
 
 import gc
 import os
+import time
 
 import pytest
 
 from nsq import _engine
+from nsq.cli import main
 
 
 @pytest.fixture
@@ -50,3 +54,33 @@ def test_worker_error_reaches_the_caller_and_thaws_the_parent(pooled):
     with pytest.raises(RuntimeError, match="no tables for n = 12"):
         _engine.search_normal(12, workers=2)
     assert gc.get_freeze_count() == 0
+
+
+SHARD = _engine._shard
+
+
+def dying_shard(n, shards, i):
+    """Shard 3 kills its worker; the others run the real _shard.  Set
+    before the pool forks, so the workers see it; the pool pickles it by
+    name, so it lives at module level."""
+    if i == 3:
+        os._exit(9)
+    return SHARD(n, shards, i)
+
+
+def test_dead_worker_fails_the_search(pooled):
+    pooled.setattr(_engine, "_shard", dying_shard)
+    start = time.perf_counter()
+    with pytest.raises(ChildProcessError, match="a search worker died"):
+        _engine.search_normal(12, workers=2)
+    assert time.perf_counter() - start < 10
+    assert gc.get_freeze_count() == 0
+
+
+def test_dead_worker_is_one_line_and_status_1(monkeypatch, capsys):
+    monkeypatch.setattr(_engine, "_shard", dying_shard)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers allowed
+    assert main(["search", "--n", "18", "--threads", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: a search worker died") and err.count("\n") == 1
