@@ -555,16 +555,6 @@ def _psd_keep(signs: np.ndarray, n: int, tables: list[np.ndarray]) -> np.ndarray
     return keep
 
 
-def _a_values(solutions: np.ndarray) -> np.ndarray:
-    """The distinct first entries of the solutions, sorted, as a (values,
-    1) column: np.unique(solutions[:, :1], axis=0), by a sort and one
-    comparison, since np.unique imports numpy.ma (15 ms of a launch)."""
-    a = np.sort(solutions[:, 0])
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = a[1:] != a[:-1]
-    return a[first][:, None]
-
-
 def _prepare(n: int) -> Callable[[tuple[int, int]], dict]:
     """The NS search, A first, as a function of the shard, with every
     table it reads built once from n (the tracks, the row-sum solutions,
@@ -582,7 +572,7 @@ def _prepare(n: int) -> Callable[[tuple[int, int]], dict]:
     aa, cd = ns_tracks(n)
     m = n // 2
     solutions = _solutions(n)
-    sweep_levels = _levels(n, aa, _a_values(solutions), rows=1)
+    sweep_levels = _levels(n, aa, solutions[:, :1], rows=1)
     place_levels = _levels(n, cd, solutions)
     tables = _psd_tables(n)
     strides = _row_strides(n, solutions.shape[1])
@@ -723,29 +713,22 @@ def search_normal(n: int, workers: int = 1) -> list[tuple[str, str]]:
     dies fails the search at once with ChildProcessError.
 
     Each worker pays the pool's fixed costs once: it builds the tables
-    on its first shard and runs its later shards on them.  The parent's
-    objects are frozen out of the garbage collector while the pool runs
-    (gc.freeze), so a forked worker's collections do not touch, and
-    copy, the pages it shares with the parent."""
+    on its first shard and runs its later shards on them."""
     if workers > 1 and n >= POOL_MIN_N:
         import functools
-        import gc
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor, process
 
         shards = workers * 4
-        gc.freeze()
         try:
             # Fork, also where it is not the default: the workers share
-            # the parent's frozen heap and see its module state.
+            # the parent's heap and see its module state.
             with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
                 leaves = _merge_leaves(
                     list(pool.map(functools.partial(_shard, n, shards), range(shards))), n
                 )
         except process.BrokenProcessPool as exc:
             raise ChildProcessError(f"a search worker died: {exc}") from exc
-        finally:
-            gc.unfreeze()
     else:
         leaves = run_search(n)
     aa, cd = leaves["syms"]

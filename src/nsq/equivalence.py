@@ -24,11 +24,7 @@ Canonicalisation counts them over the one or two H-orbits and raises
 CanonicalFormError unless there is exactly one, on every orbit it meets.
 Each side runs its conditions only on the members that pass its end-term
 check, (i) or (vi), which is the same condition read without the quad
-labels, so the count stays exact.  Three bounded caches serve a sweep
-over one orbit's members: every member of an A-set maps to the set,
-every member of a (C;D)-set to the set, and each (A-set, (C;D)-set) to
-its orbit's canonical member; all three are cleared together before
-they would hold more than _CACHE_MEMBERS keys.
+labels, so the count stays exact.
 """
 
 from __future__ import annotations
@@ -158,22 +154,6 @@ def apply(transform: Transform, quad: NormalQuadruple) -> NormalQuadruple:
     return NormalQuadruple.from_raw(apply_raw(transform, quad.raw()))
 
 
-# Bound on the keys the three caches hold together: about 60 full orbits,
-# each two A-sets of 4 members, two (C;D)-sets of 64 and two winners.
-_CACHE_MEMBERS = 1 << 13
-_A_SET: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
-_CD_SET: dict[Pair, frozenset[Pair]] = {}
-_WINNER_OF: dict[tuple[frozenset, frozenset], Raw] = {}
-
-
-def _remember(cache: dict, keys, value) -> None:
-    if len(_A_SET) + len(_CD_SET) + len(_WINNER_OF) + len(keys) > _CACHE_MEMBERS:
-        _A_SET.clear()
-        _CD_SET.clear()
-        _WINNER_OF.clear()
-    cache.update(dict.fromkeys(keys, value))
-
-
 def _signed(x: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """x under its negation and reversal: +-x, +-rev x."""
     nx = _neg(x)
@@ -182,25 +162,17 @@ def _signed(x: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def _a_set(a: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """The orbit of A under N_a = <negate_aa, reverse_aa>."""
-    members = _A_SET.get(a)
-    if members is None:
-        members = frozenset(_signed(a))
-        _remember(_A_SET, members, members)
-    return members
+    return frozenset(_signed(a))
 
 
 def _cd_set(c: tuple[int, ...], d: tuple[int, ...]) -> frozenset[Pair]:
     """The orbit of (C;D) under H_cd = <swap_cd>.N_cd.<quad_swap_45>."""
-    members = _CD_SET.get((c, d))
-    if members is None:
-        pairs = []
-        for x, y in ((c, d), _swap45(c, d)):
-            xs, ys = _signed(x), _signed(y)
-            pairs += product(xs, ys)
-            pairs += product(ys, xs)
-        members = frozenset(pairs)
-        _remember(_CD_SET, members, members)
-    return members
+    pairs = []
+    for x, y in ((c, d), _swap45(c, d)):
+        xs, ys = _signed(x), _signed(y)
+        pairs += product(xs, ys)
+        pairs += product(ys, xs)
+    return frozenset(pairs)
 
 
 def _h_orbits(raw: Raw) -> tuple[tuple[frozenset, frozenset], ...]:
@@ -333,10 +305,6 @@ def is_canonical(quad: NormalQuadruple) -> bool:
 
 
 def canonical_raw(raw: Raw) -> Raw:
-    a, c, d = raw
-    winner = _WINNER_OF.get((_a_set(a), _cd_set(c, d)))
-    if winner is not None:
-        return winner
     halves = _h_orbits(raw)
     canonical = []
     for xs, cds in halves:
@@ -348,15 +316,13 @@ def canonical_raw(raw: Raw) -> Raw:
             canonical += [(x, *y) for x in a_ok for y in cd_ok]
     if len(canonical) != 1:
         # a (C;D) side outside the eight quads fails as the full scan would
-        quad_labels(c, d)
+        quad_labels(*raw[1:])
         size = sum(len(xs) * len(cds) for xs, cds in halves)
         raise CanonicalFormError(
             f"orbit of size {size} has {len(canonical)} canonical members,"
             " expected exactly one"
         )
-    winner = canonical[0]
-    _remember(_WINNER_OF, halves, winner)
-    return winner
+    return canonical[0]
 
 
 def canonicalize(quad: NormalQuadruple) -> NormalQuadruple:

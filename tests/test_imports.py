@@ -119,14 +119,21 @@ def test_search_loads_no_masked_arrays(tmp_path, threads, shards):
 
 @pytest.mark.parametrize("n", range(1, 32))
 def test_a_values_are_the_unique_first_column(n):
+    # The A sweep aims at the solutions' first column as it stands, so no
+    # search calls np.unique: a repeated a value sets the same reach-table
+    # boxes again, and the sweep levels equal those of the unique values.
     import numpy as np
 
-    from nsq._engine import _a_values, _solutions
+    from nsq._engine import _levels, _solutions, ns_tracks
 
     solutions = _solutions(n)
-    got, want = _a_values(solutions), np.unique(solutions[:, :1], axis=0)
-    assert got.dtype == want.dtype == np.int16
-    assert got.shape == want.shape and np.array_equal(got, want)
+    aa = ns_tracks(n)[0]
+    got = _levels(n, aa, solutions[:, :1], rows=1)
+    want = _levels(n, aa, np.unique(solutions[:, :1], axis=0), rows=1)
+    assert got[0] is want[0] is None and len(got) == len(want) == n - n // 2 + 1
+    for level, expected in zip(got[1:], want[1:]):
+        for field, value in zip(expected._fields, level):
+            assert np.array_equal(value, getattr(expected, field)), field
 
 
 # The package's public names, by home module.

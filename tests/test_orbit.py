@@ -1,7 +1,7 @@
-"""The factorised orbit, the per-side canonical check and the bounded
-factor caches, checked against the plain breadth-first closure, the
-staged product on whole triples and the full twelve-condition scan they
-replace, all kept here as oracles."""
+"""The factorised orbit and the per-side canonical check, checked
+against the plain breadth-first closure, the staged product on whole
+triples and the full twelve-condition scan they replace, all kept here
+as oracles."""
 
 import itertools
 import random
@@ -172,23 +172,12 @@ def outcome(fn, raw):
         return str(exc)
 
 
-def cache_keys():
-    return len(equivalence._A_SET) + len(equivalence._CD_SET) + len(equivalence._WINNER_OF)
-
-
 @pytest.fixture(scope="module")
 def rows():
     return [
         decode_quadruple(*parse_code(f"{r.p_code} {r.q_code}", n=r.n)).raw()
         for r in load_tables().reps
     ]
-
-
-@pytest.fixture()
-def empty_cache():
-    equivalence._A_SET.clear()
-    equivalence._CD_SET.clear()
-    equivalence._WINNER_OF.clear()
 
 
 def probe_triples(n):
@@ -232,7 +221,7 @@ def test_split_violation_matches_on_every_representative_orbit(rows):
 
 
 @pytest.mark.parametrize("n", range(1, 41))
-def test_canonical_raw_matches_the_staged_full_scan(n, empty_cache):
+def test_canonical_raw_matches_the_staged_full_scan(n):
     # the probes are quad-regular but not normal, so their orbits hold
     # any number of canonical members; the error text must agree too
     for raw in probe_triples(n):
@@ -285,55 +274,14 @@ def test_alt_past_the_sign_pattern():
     assert _alt(t) == reference_alt(t)
 
 
-def test_sweep_over_one_orbit_hits_the_cache(rows, monkeypatch):
+def test_every_member_of_one_orbit_canonicalises_to_its_winner(rows):
     raw = rows[-1]
-    members = orbit_raw(raw)
     winner = canonical_raw(raw)
-    calls = []
-
-    def spy(fn):
-        def wrapped(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-
-        return wrapped
-
-    for name in ("_signed", "_aa_violation", "_cd_violation", "_swap45"):
-        monkeypatch.setattr(equivalence, name, spy(getattr(equivalence, name)))
-    for member in members:
-        assert canonical_raw(member) is winner
-    assert calls == []
-    for a, c, d in members:
-        assert a in equivalence._A_SET[a]
-        assert (c, d) in equivalence._CD_SET[(c, d)]
+    for member in orbit_raw(raw):
+        assert canonical_raw(member) == winner
 
 
-def test_cache_stays_bounded_and_clearing_changes_no_result(rows, empty_cache, monkeypatch):
-    # a bound below the rows' total keys, so the caches are cleared often
-    limit = 1 << 11
-    monkeypatch.setattr(equivalence, "_CACHE_MEMBERS", limit)
-    first = []
-    cleared = 0
-    for raw in rows:
-        before = cache_keys()
-        first.append(canonical_raw(raw))
-        after = cache_keys()
-        cleared += after < before
-        assert after <= limit
-        for a_set, cd_set in equivalence._WINNER_OF:
-            assert equivalence._A_SET.get(next(iter(a_set)), a_set) == a_set
-            assert equivalence._CD_SET.get(next(iter(cd_set)), cd_set) == cd_set
-    assert cleared >= 2
-    assert [canonical_raw(raw) for raw in rows] == first
-
-
-def test_rows_fit_the_cache_bound_once_each(rows, empty_cache):
-    for raw in rows:
-        canonical_raw(raw)
-        assert cache_keys() <= equivalence._CACHE_MEMBERS
-
-
-def test_two_canonical_members_raise(empty_cache):
+def test_two_canonical_members_raise():
     # not normal, but quad-regular: its orbit holds two members that pass
     # all twelve conditions
     raw = ((-1, 1, 1), (1, 1, 1), (1, 1, 1))
@@ -342,14 +290,12 @@ def test_two_canonical_members_raise(empty_cache):
         canonical_raw(raw)
     with pytest.raises(CanonicalFormError, match="has 2 canonical members"):
         canonical_oracle(raw)
-    assert not equivalence._WINNER_OF
 
 
-def test_no_canonical_member_raises(rows, empty_cache, monkeypatch):
+def test_no_canonical_member_raises(rows, monkeypatch):
     monkeypatch.setattr(equivalence, "_aa_violation", lambda a: "(i) at p_1")
     with pytest.raises(CanonicalFormError, match="has 0 canonical members"):
         canonical_raw(rows[-1])
-    assert not equivalence._WINNER_OF
 
 
 def test_cd_side_outside_the_eight_quads_is_a_code_error():

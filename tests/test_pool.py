@@ -1,11 +1,9 @@
 """The shard pool of _engine.search_normal: each worker builds the
-search's tables once, on its first shard, never the parent; the
-parent's objects are frozen out of the garbage collector while the
-pool runs and thawed after it, also when a worker raises or dies; an
-error in a worker reaches the caller as itself; and a worker that dies
-fails the search at once, in the library and through the CLI, rather
-than hanging it.  The pool threshold is lowered so that short searches
-use the pool."""
+search's tables once, on its first shard, never the parent; the pool
+leaves the caller's frozen objects frozen; an error in a worker
+reaches the caller as itself; and a worker that dies fails the search
+at once, in the library and through the CLI, rather than hanging it.
+The pool threshold is lowered so that short searches use the pool."""
 
 import gc
 import os
@@ -24,36 +22,42 @@ def pooled(monkeypatch):
 
 
 def test_tables_are_built_once_per_worker(pooled, tmp_path):
-    # Each build appends "pid freeze-count" to a file, which the workers
-    # share with this process.
+    # Each build appends its pid to a file, which the workers share with
+    # this process.  The workers see the spy patched here only because
+    # the pool forks them; spawned workers would log no build.
     log = tmp_path / "builds"
     prepare = _engine._prepare
 
     def spy(n):
         with open(log, "a") as f:
-            f.write(f"{os.getpid()} {gc.get_freeze_count()}\n")
+            f.write(f"{os.getpid()}\n")
         return prepare(n)
 
     pooled.setattr(_engine, "_prepare", spy)
     _engine.search_normal(16, workers=2)
-    builds = [line.split() for line in log.read_text().splitlines()]
-    pids = [pid for pid, _ in builds]
+    pids = log.read_text().split()
     # 8 shards, at most one build in each of the 2 workers.
     assert 1 <= len(pids) <= 2 and len(set(pids)) == len(pids)
     assert str(os.getpid()) not in pids
-    # The workers were forked with the parent's objects frozen.
-    assert all(int(frozen) > 0 for _, frozen in builds)
-    assert gc.get_freeze_count() == 0
 
 
-def test_worker_error_reaches_the_caller_and_thaws_the_parent(pooled):
+def test_search_keeps_the_callers_frozen_objects_frozen(pooled):
+    # Frozen objects that die leave the count, so it need not stay equal.
+    gc.freeze()
+    try:
+        _engine.search_normal(16, workers=2)
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+def test_worker_error_reaches_the_caller(pooled):
     def fail(n):
         raise RuntimeError(f"no tables for n = {n}")
 
     pooled.setattr(_engine, "_prepare", fail)
     with pytest.raises(RuntimeError, match="no tables for n = 12"):
         _engine.search_normal(12, workers=2)
-    assert gc.get_freeze_count() == 0
 
 
 SHARD = _engine._shard
@@ -74,7 +78,6 @@ def test_dead_worker_fails_the_search(pooled):
     with pytest.raises(ChildProcessError, match="a search worker died"):
         _engine.search_normal(12, workers=2)
     assert time.perf_counter() - start < 10
-    assert gc.get_freeze_count() == 0
 
 
 def test_dead_worker_is_one_line_and_status_1(monkeypatch, capsys):
