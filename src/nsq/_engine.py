@@ -42,9 +42,10 @@ check runs along whole rows.
 Both the sweep and the placement descend recursively (_descend),
 expanding slices of at most CHUNK states and searching each slice's
 output to the end before taking the next, so a level holds at most the
-unexpanded rest of one expansion; the placement takes the swept A's in
-batches of about CHUNK.  Memory is bounded by CHUNK and n, not by the
-frontier or the number of A's.
+unexpanded rest of one expansion; each descent yields the blocks of its
+last level as they are reached.  The placement takes the swept A's in
+batches of about CHUNK while the sweep runs.  Memory is bounded by CHUNK
+and n, not by the frontier or the number of A's.
 
 The row sums A, C, D must reach an integer solution of the square
 identity 2a^2 + c^2 + d^2 = 4n (_solutions).
@@ -447,13 +448,13 @@ def _merge_leaves(parts: list[dict], n: int) -> dict:
 CHUNK = 1 << 12
 
 
-def _descend(block, k, last, expand, emit, shard=(0, 1), split=0) -> None:
-    """Search a block with columns 1..k placed to the end: expand(block,
-    k + 1) places column k+1 on at most CHUNK states at a time, each
-    slice's output is searched to the end before the next slice is
-    taken, and emit receives the output of the last level, column last.
-    So each level holds at most the unexpanded rest of one expansion, and
-    memory stays bounded whatever the frontier size.
+def _descend(block, k, last, expand, shard=(0, 1), split=0):
+    """Search a block with columns 1..k placed to the end, yielding each
+    block of column last: expand(block, k + 1) places column k+1 on at
+    most CHUNK states at a time, and each slice's output is searched to
+    the end before the next slice is taken.  So each level holds at most
+    the unexpanded rest of one expansion, and memory stays bounded
+    whatever the frontier size.
 
     shard=(i, w) deterministically keeps every w-th state of the level
     split frontier, so the w shards i = 0..w-1 partition the search.  That
@@ -463,13 +464,13 @@ def _descend(block, k, last, expand, emit, shard=(0, 1), split=0) -> None:
     if k == split and shard[1] > 1:
         block = block.take(np.arange(shard[0], len(block), shard[1]))
     if k == last:
-        emit(block)
+        yield block
         return
     for lo in range(0, len(block), CHUNK):
-        # The expansion is held by the callee's frame alone, so it is freed
-        # on return, before this level's next slice is expanded.
+        # The expansion is held by the nested frame alone, so it is freed
+        # once that frame ends, before this level's next slice is expanded.
         chunk = block.take(slice(lo, lo + CHUNK))
-        _descend(expand(chunk, k + 1), k + 1, last, expand, emit, shard, split)
+        yield from _descend(expand(chunk, k + 1), k + 1, last, expand, shard, split)
 
 
 def _sweep(block: _Block, n: int, k: int, track: TrackSpec, level: _Level) -> _Block | None:
@@ -561,14 +562,15 @@ def _prepare(n: int) -> Callable[[tuple[int, int]], dict]:
     both level lists and the power test's angles); a pool worker builds
     it once and runs each of its shards on it (_shard).
 
-    The repeated track (A;A) is swept alone over its prefix tables with
-    its row sums pruned (_sweep); each completed A must pass the power
-    test (_psd_keep); and the surviving A's, in batches of at least CHUNK
-    (or what is left at the end), are the root states of the search of
-    the (C;D) track, each with p = 2 N_A and A's row sums, completed by
-    _expand on _levels(n, cd, solutions).  Every test on A is necessary
-    and the two prefix machines are independent, so the leaves are
-    exactly those of the joint search of both tracks, in another order."""
+    The search is one loop over the completed A's that the sweep of the
+    repeated track (A;A) yields block by block (_descend over _sweep);
+    each A must pass the power test (_psd_keep); and the survivors, in
+    batches of at least CHUNK (or what is left at the end), are the root
+    states of the search of the (C;D) track, each with p = 2 N_A and A's
+    row sums, whose descent over _expand yields the leaves.  Every test
+    on A is necessary and the two prefix machines are independent, so the
+    leaves are exactly those of the joint search of both tracks, in
+    another order."""
     aa, cd = ns_tracks(n)
     m = n // 2
     solutions = _solutions(n)
@@ -578,59 +580,53 @@ def _prepare(n: int) -> Callable[[tuple[int, int]], dict]:
     strides = _row_strides(n, solutions.shape[1])
     open_rows = n * int(strides[1:].sum())
 
+    def place(held: list[_Block]):
+        """Yield the leaf dicts of the placement of (C;D) on the held A's,
+        which it takes out of held before it descends."""
+        a_syms = np.concatenate([b.syms for b in held], axis=1)
+        plain = np.concatenate([b.plain for b in held]) * strides[0] + open_rows
+        alt = np.concatenate([b.alt for b in held]) * strides[0] + open_rows
+        held.clear()
+        a = _spell(a_syms, n)
+        count = a.shape[1]
+        p = np.zeros((n, count), dtype=np.int16)
+        for i in range(1, n):
+            p[i] = 2 * (a[:-i] * a[i:]).sum(axis=0, dtype=np.int16)
+        root = _Block(
+            p,
+            np.zeros((0, count), dtype=np.int8),
+            np.zeros(count, dtype=np.int8),
+            plain,
+            alt,
+            np.arange(count, dtype=np.int32),
+        )
+        placed = _descend(
+            root, 0, n - m, lambda block, k: _expand(block, n, k, cd, place_levels[k])
+        )
+        for block in placed:
+            yield {"syms": [a_syms.take(block.origin, axis=1).T, block.syms.T]}
+
     def search(shard: tuple[int, int]) -> dict:
         held: list[_Block] = []  # completed A's that passed, not yet placed
-        waiting = 0  # how many A's held holds
         leaves: list[dict] = []
-
-        def place() -> None:
-            nonlocal waiting
-            waiting = 0
-            a_syms = np.concatenate([b.syms for b in held], axis=1)
-            plain = np.concatenate([b.plain for b in held]) * strides[0] + open_rows
-            alt = np.concatenate([b.alt for b in held]) * strides[0] + open_rows
-            held.clear()
-            a = _spell(a_syms, n)
-            count = a.shape[1]
-            p = np.zeros((n, count), dtype=np.int16)
-            for i in range(1, n):
-                p[i] = 2 * (a[:-i] * a[i:]).sum(axis=0, dtype=np.int16)
-            root = _Block(
-                p,
-                np.zeros((0, count), dtype=np.int8),
-                np.zeros(count, dtype=np.int8),
-                plain,
-                alt,
-                np.arange(count, dtype=np.int32),
-            )
-            _descend(
-                root, 0, n - m,
-                lambda block, k: _expand(block, n, k, cd, place_levels[k]),
-                lambda block: leaves.append(
-                    {"syms": [a_syms.take(block.origin, axis=1).T, block.syms.T]}
-                ),
-            )
-
-        def admit(block: _Block) -> None:
+        swept = _descend(
+            _root(n), 0, n - m,
+            lambda block, k: _sweep(block, n, k, aa, sweep_levels[k]),
+            shard, min(3, m),
+        )
+        for block in swept:
             # The last sweep level holds up to 4 * CHUNK A's; testing CHUNK
             # at a time keeps the float arrays of the power test small.
-            nonlocal waiting
             for lo in range(0, len(block), CHUNK):
                 part = block.take(slice(lo, lo + CHUNK))
                 keep = _psd_keep(_spell(part.syms, n, PSD_FLOAT), n, tables)
                 if len(keep):
                     held.append(part.take(keep))
-                    waiting += len(keep)
-            if waiting >= CHUNK:
-                place()
-
-        _descend(
-            _root(n), 0, n - m,
-            lambda block, k: _sweep(block, n, k, aa, sweep_levels[k]),
-            admit, shard, min(3, m),
-        )
+            if sum(map(len, held)) >= CHUNK:
+                leaves.extend(place(held))
+        block = part = None  # the last swept block, freed before the last placement
         if held:
-            place()
+            leaves.extend(place(held))
         return _merge_leaves(leaves, n)
 
     return search

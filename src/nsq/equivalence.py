@@ -387,5 +387,12 @@ def is_golay_type(quad: NormalQuadruple) -> bool:
 
 def _golay_type(c: tuple[int, ...], d: tuple[int, ...]) -> bool:
     """is_golay_type for a quadruple with these C and D that the caller
-    has already checked with is_normal."""
-    return any(x == y for x, y in _cd_set(c, d))
+    has already checked with is_normal, read off (C;D) without building
+    its orbit.
+
+    The (C;D)-set (_cd_set) is the union of S(x) x S(y) and S(y) x S(x)
+    over (x, y) = (C, D) and its 4<->5 swap, with S(x) = {+-x, +-rev x}.
+    Each S(x) is an orbit of the group of negation and reversal, so S(x)
+    and S(y) meet iff they are equal, iff y is in S(x).  So the set holds
+    a member with equal halves iff y is in S(x) for one of the two."""
+    return any(y in _signed(x) for x, y in ((c, d), _swap45(c, d)))

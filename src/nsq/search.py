@@ -119,19 +119,12 @@ def exhaustive_normal_quadruples(n: int) -> tuple[tuple, ...]:
     count = 1 << n
     bits = (np.arange(count, dtype=np.int64)[:, None] >> np.arange(n)[::-1]) & 1
     seqs = (1 - 2 * bits).astype(np.int8)
-    shifts = n - 1
+    shifts = max(n - 1, 1)  # at n = 1 a zero column matches every (C, D)
     corr = np.zeros((count, shifts), dtype=np.int16)
     for i in range(1, n):
         corr[:, i - 1] = (
             seqs[:, : n - i].astype(np.int16) * seqs[:, i:].astype(np.int16)
         ).sum(axis=1)
-    if shifts == 0:
-        pairs = [(c, d) for c in range(count) for d in range(count)]
-        return tuple(
-            (tuple(seqs[a].tolist()), tuple(seqs[c].tolist()), tuple(seqs[d].tolist()))
-            for a in range(count)
-            for c, d in pairs
-        )
     cd = (corr[:, None, :] + corr[None, :, :]).reshape(count * count, shifts)
     keys = (-2 * corr).astype(np.int16)
 

@@ -459,14 +459,12 @@ def golay_leader_search(n: int):
     levels = _engine._levels(n, track, golay_solutions(n))
 
     def search(shard: tuple[int, int]) -> dict:
-        leaves: list[dict] = []
-        _engine._descend(
+        blocks = _engine._descend(
             golay_root(n), 0, n - m,
             lambda block, k: _engine._expand(block, n, k, track, levels[k]),
-            lambda block: leaves.append({"syms": [block.syms.T]}),
             shard, min(3, m),
         )
-        return merge_leaves(leaves, tracks, n)
+        return merge_leaves([{"syms": [block.syms.T]} for block in blocks], tracks, n)
 
     return search
 
@@ -853,6 +851,37 @@ def test_traversal_is_chunked_and_deepest_first(monkeypatch):
     # The Golay frontier and the A sweep pass 10 * CHUNK, so full chunks
     # are taken.
     assert max(seen[_sweep][0]) == max(seen[_expand][0]) == CHUNK
+
+
+def test_placement_takes_swept_a_in_batches(monkeypatch):
+    # With CHUNK = 8 the 197 A's of NS(20) that pass the power test
+    # (GOLDEN_A_FIRST) fill several batches: the placement of (C;D) starts
+    # while the sweep runs, and no batch reaches 5 * CHUNK A's (fewer than
+    # CHUNK held, plus one swept block of at most 4 * CHUNK).  A batch is
+    # seen at pair 1, whose states are its A's, numbered from 0 by origin.
+    want = leaf_rows(run_search(20))
+    events, batches = [], []
+
+    def psd_spy(signs, n_, tables):
+        events.append("power")
+        return _psd_keep(signs, n_, tables)
+
+    def expand_spy(block, n_, k, *args):
+        if k == 1:
+            events.append("place")
+            if block.origin[0] == 0:
+                batches.append(0)
+            batches[-1] = max(batches[-1], int(block.origin.max()) + 1)
+        return _expand(block, n_, k, *args)
+
+    monkeypatch.setattr(_engine, "CHUNK", 8)
+    monkeypatch.setattr(_engine, "_psd_keep", psd_spy)
+    monkeypatch.setattr(_engine, "_expand", expand_spy)
+    got = leaf_rows(run_search(20))
+    assert events.index("place") < len(events) - 1 - events[::-1].index("power")
+    assert len(batches) > 1 and sum(batches) == 197
+    assert max(batches) < 5 * 8
+    assert got == want
 
 
 @pytest.mark.parametrize("n", range(1, 21))
