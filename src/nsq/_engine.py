@@ -42,10 +42,11 @@ check runs along whole rows.
 Both the sweep and the placement descend recursively (_descend),
 expanding slices of at most CHUNK states and searching each slice's
 output to the end before taking the next, so a level holds at most the
-unexpanded rest of one expansion; each descent yields the blocks of its
-last level as they are reached.  The placement takes the swept A's in
-batches of about CHUNK while the sweep runs.  Memory is bounded by CHUNK
-and n, not by the frontier or the number of A's.
+unexpanded rest of one expansion; each descent yields the states of its
+last level as they are reached, at most CHUNK at a time.  The placement
+takes the swept A's in batches of about CHUNK while the sweep runs.
+Memory is bounded by CHUNK and n, not by the frontier or the number of
+A's.
 
 The row sums A, C, D must reach an integer solution of the square
 identity 2a^2 + c^2 + d^2 = 4n (_solutions).
@@ -448,29 +449,23 @@ def _merge_leaves(parts: list[dict], n: int) -> dict:
 CHUNK = 1 << 12
 
 
-def _descend(block, k, last, expand, shard=(0, 1), split=0):
-    """Search a block with columns 1..k placed to the end, yielding each
-    block of column last: expand(block, k + 1) places column k+1 on at
-    most CHUNK states at a time, and each slice's output is searched to
-    the end before the next slice is taken.  So each level holds at most
-    the unexpanded rest of one expansion, and memory stays bounded
-    whatever the frontier size.
-
-    shard=(i, w) deterministically keeps every w-th state of the level
-    split frontier, so the w shards i = 0..w-1 partition the search.  That
-    frontier is the output of one expansion, and is strided as one block."""
+def _descend(block, k, last, expand):
+    """Search a block with columns 1..k placed to the end, yielding the
+    states of column last in slices of at most CHUNK: expand(block, k + 1)
+    places column k+1 on at most CHUNK states at a time, and each slice's
+    output is searched to the end before the next slice is taken.  So
+    each level holds at most the unexpanded rest of one expansion, and
+    memory stays bounded whatever the frontier size."""
     if block is None:
         return
-    if k == split and shard[1] > 1:
-        block = block.take(np.arange(shard[0], len(block), shard[1]))
-    if k == last:
-        yield block
-        return
     for lo in range(0, len(block), CHUNK):
-        # The expansion is held by the nested frame alone, so it is freed
-        # once that frame ends, before this level's next slice is expanded.
         chunk = block.take(slice(lo, lo + CHUNK))
-        yield from _descend(expand(chunk, k + 1), k + 1, last, expand, shard, split)
+        if k == last:
+            yield chunk
+        else:
+            # The expansion is held by the nested frame alone, so it is freed
+            # once that frame ends, before this level's next slice is expanded.
+            yield from _descend(expand(chunk, k + 1), k + 1, last, expand)
 
 
 def _sweep(block: _Block, n: int, k: int, track: TrackSpec, level: _Level) -> _Block | None:
@@ -562,15 +557,18 @@ def _prepare(n: int) -> Callable[[tuple[int, int]], dict]:
     both level lists and the power test's angles); a pool worker builds
     it once and runs each of its shards on it (_shard).
 
-    The search is one loop over the completed A's that the sweep of the
-    repeated track (A;A) yields block by block (_descend over _sweep);
-    each A must pass the power test (_psd_keep); and the survivors, in
-    batches of at least CHUNK (or what is left at the end), are the root
-    states of the search of the (C;D) track, each with p = 2 N_A and A's
-    row sums, whose descent over _expand yields the leaves.  Every test
-    on A is necessary and the two prefix machines are independent, so the
-    leaves are exactly those of the joint search of both tracks, in
-    another order."""
+    The search cuts its shard (i, w) in the sweep of the repeated track
+    (A;A) (_descend over _sweep): the sweep descends to level
+    split = min(3, n//2) and goes on from every w-th state, the i-th
+    first, of each block it yields there, so the w shards i = 0..w-1
+    partition the search.  It is then one loop over the blocks of
+    completed A's that the sweep yields: each A must pass the power test
+    (_psd_keep), and the survivors, in batches of at least CHUNK (or what
+    is left at the end), are the root states of the search of the (C;D)
+    track, each with p = 2 N_A and A's row sums, whose descent over
+    _expand yields the leaves.  Every test on A is necessary and the two
+    prefix machines are independent, so the leaves are exactly those of
+    the joint search of both tracks, in another order."""
     aa, cd = ns_tracks(n)
     m = n // 2
     solutions = _solutions(n)
@@ -607,24 +605,22 @@ def _prepare(n: int) -> Callable[[tuple[int, int]], dict]:
             yield {"syms": [a_syms.take(block.origin, axis=1).T, block.syms.T]}
 
     def search(shard: tuple[int, int]) -> dict:
+        i, w = shard
+        split = min(3, m)
+
+        def sweep(block, k):
+            return _sweep(block, n, k, aa, sweep_levels[k])
+
         held: list[_Block] = []  # completed A's that passed, not yet placed
         leaves: list[dict] = []
-        swept = _descend(
-            _root(n), 0, n - m,
-            lambda block, k: _sweep(block, n, k, aa, sweep_levels[k]),
-            shard, min(3, m),
-        )
-        for block in swept:
-            # The last sweep level holds up to 4 * CHUNK A's; testing CHUNK
-            # at a time keeps the float arrays of the power test small.
-            for lo in range(0, len(block), CHUNK):
-                part = block.take(slice(lo, lo + CHUNK))
-                keep = _psd_keep(_spell(part.syms, n, PSD_FLOAT), n, tables)
+        for head in _descend(_root(n), 0, split, sweep):
+            for block in _descend(head.take(slice(i, None, w)), split, n - m, sweep):
+                keep = _psd_keep(_spell(block.syms, n, PSD_FLOAT), n, tables)
                 if len(keep):
-                    held.append(part.take(keep))
-            if sum(map(len, held)) >= CHUNK:
-                leaves.extend(place(held))
-        block = part = None  # the last swept block, freed before the last placement
+                    held.append(block.take(keep))
+                if sum(map(len, held)) >= CHUNK:
+                    leaves.extend(place(held))
+        block = None  # the last swept block, freed before the last placement
         if held:
             leaves.extend(place(held))
         return _merge_leaves(leaves, n)
@@ -639,9 +635,9 @@ def run_search(n: int, shard: tuple[int, int] = (0, 1)) -> dict:
 
     A is swept first and (C;D) placed on each survivor (_prepare).
     shard=(i, w) keeps every w-th state of the sweep's frontier after
-    level 3 (level n//2 when that is shallower), so the w shards
-    i = 0..w-1 partition the search.  Every call builds the search's
-    tables anew.
+    level 3 (level n//2 when that is shallower), cut by _prepare's search
+    before it sweeps on, so the w shards i = 0..w-1 partition the search.
+    Every call builds the search's tables anew.
     """
     return _prepare(n)(shard)
 

@@ -449,22 +449,29 @@ def golay_leader_search(n: int):
     """The Golay search on one member per orbit, as a function of the
     shard, its levels built once: the leader track placed column by
     column by the library's _descend and _expand, on the reach tables of
-    a^2 + b^2 = 2n, sharded like the library's search.  bounds[n - m] is
-    identically zero, so the last level's survivors satisfy every
-    equation: they are the leaves.  The kernel is looked up on _engine
-    when the search runs, so that the spies of these tests see it."""
+    a^2 + b^2 = 2n, its shard cut as in the library's search.
+    bounds[n - m] is identically zero, so the last level's survivors
+    satisfy every equation: they are the leaves.  The kernel is looked
+    up on _engine when the search runs, so that the spies of these tests
+    see it."""
     tracks = golay_tracks(n)
     (track,) = tracks
     m = n // 2
     levels = _engine._levels(n, track, golay_solutions(n))
 
     def search(shard: tuple[int, int]) -> dict:
-        blocks = _engine._descend(
-            golay_root(n), 0, n - m,
-            lambda block, k: _engine._expand(block, n, k, track, levels[k]),
-            shard, min(3, m),
-        )
-        return merge_leaves([{"syms": [block.syms.T]} for block in blocks], tracks, n)
+        i, w = shard
+        split = min(3, m)
+
+        def expand(block, k):
+            return _engine._expand(block, n, k, track, levels[k])
+
+        leaves = [
+            {"syms": [block.syms.T]}
+            for head in _engine._descend(golay_root(n), 0, split, expand)
+            for block in _engine._descend(head.take(slice(i, None, w)), split, n - m, expand)
+        ]
+        return merge_leaves(leaves, tracks, n)
 
     return search
 
@@ -856,8 +863,8 @@ def test_traversal_is_chunked_and_deepest_first(monkeypatch):
 def test_placement_takes_swept_a_in_batches(monkeypatch):
     # With CHUNK = 8 the 197 A's of NS(20) that pass the power test
     # (GOLDEN_A_FIRST) fill several batches: the placement of (C;D) starts
-    # while the sweep runs, and no batch reaches 5 * CHUNK A's (fewer than
-    # CHUNK held, plus one swept block of at most 4 * CHUNK).  A batch is
+    # while the sweep runs, and no batch reaches 2 * CHUNK A's (fewer than
+    # CHUNK held, plus one swept block of at most CHUNK).  A batch is
     # seen at pair 1, whose states are its A's, numbered from 0 by origin.
     want = leaf_rows(run_search(20))
     events, batches = [], []
@@ -880,7 +887,26 @@ def test_placement_takes_swept_a_in_batches(monkeypatch):
     got = leaf_rows(run_search(20))
     assert events.index("place") < len(events) - 1 - events[::-1].index("power")
     assert len(batches) > 1 and sum(batches) == 197
-    assert max(batches) < 5 * 8
+    assert max(batches) < 2 * 8
+    assert got == want
+
+
+@pytest.mark.parametrize("n, chunk", [(20, 8), (25, CHUNK)])
+def test_power_test_takes_at_most_a_chunk(monkeypatch, n, chunk):
+    # The sweep's last level holds up to 4 * CHUNK A's per expansion; the
+    # power test gets them at most CHUNK at a time, and full chunks are
+    # taken, whatever CHUNK is.
+    want = leaf_rows(run_search(n))
+    calls = []
+
+    def psd_spy(signs, n_, tables):
+        calls.append(signs.shape[1])
+        return _psd_keep(signs, n_, tables)
+
+    monkeypatch.setattr(_engine, "CHUNK", chunk)
+    monkeypatch.setattr(_engine, "_psd_keep", psd_spy)
+    got = leaf_rows(run_search(n))
+    assert max(calls) == chunk
     assert got == want
 
 
