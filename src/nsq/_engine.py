@@ -68,7 +68,6 @@ once, for all the shards it runs (_shard).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 # The power test runs small matrix products.  A multithreaded OpenBLAS
@@ -115,8 +114,7 @@ _CD_RAWS = (0, 5, 12, 6, 9, 3, 10, 15)  # labels 1..8, in order
 _SYMMETRIC_RAWS = frozenset({0, 5, 10, 15})  # labels 1, 2, 7, 8
 
 
-@dataclass(frozen=True)
-class TrackSpec:
+class TrackSpec(NamedTuple):
     """One sequence pair a search places: the quads it may use and three
     tables over one prefix state machine, whose state 0 is the start."""
 

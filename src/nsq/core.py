@@ -3,12 +3,49 @@ the three unary transforms, and the base/normal sequence predicates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 
 class SequenceError(ValueError):
     """Raised for malformed sequences or mismatched lengths."""
+
+
+class _Value:
+    """Base of the immutable value types.
+
+    Equality, hashing, repr and pickling read the fields named in
+    _fields, in order; each subclass's __init__ validates its input and
+    stores it with object.__setattr__.  Assigning or deleting an
+    attribute afterwards raises AttributeError, as for a frozen
+    dataclass, without loading dataclasses (and inspect) at import.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _validated_terms(terms) -> tuple[int, ...]:
@@ -20,14 +57,13 @@ def _validated_terms(terms) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class BinarySeq:
+class BinarySeq(_Value):
     """Fixed-length sequence whose terms are all +1 or -1."""
 
-    terms: tuple[int, ...]
+    __slots__ = _fields = ("terms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _validated_terms(self.terms))
+    def __init__(self, terms):
+        object.__setattr__(self, "terms", _validated_terms(terms))
 
     @classmethod
     def parse(cls, text: str) -> "BinarySeq":
@@ -58,16 +94,18 @@ class BinarySeq:
         return "".join("+" if t == 1 else "-" for t in self.terms)
 
 
-@dataclass(frozen=True)
-class NpafTable:
+class NpafTable(_Value):
     """One-sided autocorrelation values for shifts 0..n-1.
 
     Values at negative shifts mirror the positive ones, and every shift
     at or beyond n is zero, so the one-sided table is complete.
     """
 
-    values: tuple[int, ...]
-    n: int
+    __slots__ = _fields = ("values", "n")
+
+    def __init__(self, values: tuple[int, ...], n: int):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "n", n)
 
     def __getitem__(self, i: int) -> int:
         return self.values[i]
@@ -79,20 +117,20 @@ class NpafTable:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
-class NormalQuadruple:
+class NormalQuadruple(_Value):
     """Candidate normal sequences (A;A;C;D), stored as the triple (A;C;D).
 
     The constructor only enforces the shared length; use is_normal() for
     the autocorrelation condition.
     """
 
-    a: BinarySeq
-    c: BinarySeq
-    d: BinarySeq
+    __slots__ = _fields = ("a", "c", "d")
 
-    def __post_init__(self):
-        if not (len(self.a) == len(self.c) == len(self.d)):
+    def __init__(self, a: BinarySeq, c: BinarySeq, d: BinarySeq):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        if not (len(a) == len(c) == len(d)):
             raise SequenceError("A, C and D must share one length")
 
     @property
@@ -108,17 +146,17 @@ class NormalQuadruple:
         return cls(BinarySeq(a), BinarySeq(c), BinarySeq(d))
 
 
-@dataclass(frozen=True)
-class BaseQuadruple:
+class BaseQuadruple(_Value):
     """Base-sequence candidate (A;B;C;D) with |A|=|B| and |C|=|D|."""
 
-    a: BinarySeq
-    b: BinarySeq
-    c: BinarySeq
-    d: BinarySeq
+    __slots__ = _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if len(self.a) != len(self.b) or len(self.c) != len(self.d):
+    def __init__(self, a: BinarySeq, b: BinarySeq, c: BinarySeq, d: BinarySeq):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        if len(a) != len(b) or len(c) != len(d):
             raise SequenceError("A,B must share one length and C,D another")
 
     @property
@@ -181,8 +219,12 @@ def is_base_sequences(a: BinarySeq, b: BinarySeq, c: BinarySeq, d: BinarySeq) ->
 
 def is_normal(quad: NormalQuadruple) -> bool:
     """Whether 2*N_A + N_C + N_D vanishes at every nonzero shift."""
-    table = npaf_sum(quad)
-    return all(table[i] == 0 for i in range(1, quad.n))
+    # npaf_sum's values, summed on the terms without building its tables
+    a, c, d = quad.a.terms, quad.c.terms, quad.d.terms
+    return not any(
+        2 * sum(map(mul, a, a[i:])) + sum(map(mul, c, c[i:])) + sum(map(mul, d, d[i:]))
+        for i in range(1, len(a))
+    )
 
 
 def three_squares_feasible(n: int) -> bool:

@@ -22,9 +22,18 @@ Conditions (i)-(v) read only A and (vi)-(xii) only (C;D), so within one
 H-orbit the canonical members are {a: A passes} x {(c, d): (C;D) passes}.
 Canonicalisation counts them over the one or two H-orbits and raises
 CanonicalFormError unless there is exactly one, on every orbit it meets.
-Each side runs its conditions only on the members that pass its end-term
-check, (i) or (vi), which is the same condition read without the quad
-labels, so the count stays exact.
+
+It reads only the members whose sequences all start with +1: of each
+{+-x, +-rev x}, the one of +-x and the one of +-rev x that do.  That
+leaves at most 2 A's and 16 (C;D)'s per H-orbit, and the count stays
+exact, because no member outside them is canonical.  For n > 1, (i)
+reads p_1 in {1, 6} (p_1 = 1 for even n) and (vi) q_1 in {1, 6}, and
+quads 1 and 6 have top-left and bottom-left terms +1, so a_1 = c_1 =
+d_1 = +1.  For n = 1 there is no quad: (iv) forces the central of
+(A;A) to 0, so a_1 = +1, and (xi) and (xii) force that of (C;D) to 0,
+so c_1 = d_1 = +1.  Each side then runs its conditions only on the
+members that pass its end-term check, (i) or (vi), which is the same
+condition read without the quad labels.
 """
 
 from __future__ import annotations
@@ -160,30 +169,45 @@ def _signed(x: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return (x, nx, x[::-1], nx[::-1])
 
 
-def _a_set(a: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    """The orbit of A under N_a = <negate_aa, reverse_aa>."""
-    return frozenset(_signed(a))
+def _lead(x: tuple[int, ...]) -> tuple[int, ...]:
+    """Whichever of x and -x has first term +1."""
+    return x if x[0] == 1 else _neg(x)
 
 
-def _cd_set(c: tuple[int, ...], d: tuple[int, ...]) -> frozenset[Pair]:
-    """The orbit of (C;D) under H_cd = <swap_cd>.N_cd.<quad_swap_45>."""
+def _leads(x: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The members of {+-x, +-rev x} with first term +1, one of +-x and
+    one of +-rev x (the same one when x is a palindrome up to sign)."""
+    return (_lead(x), _lead(x[::-1]))
+
+
+def _cd_set(c: tuple[int, ...], d: tuple[int, ...], signed) -> frozenset[Pair]:
+    """The orbit of (C;D) under H_cd = <swap_cd>.N_cd.<quad_swap_45> with
+    signed=_signed; with signed=_leads, its members whose C and D both
+    start with +1."""
     pairs = []
     for x, y in ((c, d), _swap45(c, d)):
-        xs, ys = _signed(x), _signed(y)
+        xs, ys = signed(x), signed(y)
         pairs += product(xs, ys)
         pairs += product(ys, xs)
     return frozenset(pairs)
 
 
-def _h_orbits(raw: Raw) -> tuple[tuple[frozenset, frozenset], ...]:
+def _h_orbits(raw: Raw, signed=_signed) -> tuple[tuple[frozenset, frozenset], ...]:
     """The (A-set, (C;D)-set) factors of the H-orbits of raw and of its
-    alternation; one pair when the two H-orbits coincide."""
+    alternation; one pair when the two H-orbits coincide.  With
+    signed=_leads each factor keeps only its members whose sequences all
+    start with +1.
+
+    The full factors are closed under negating any of their sequences, so
+    a member lies in one iff its copy with leading terms +1 (_lead) does,
+    and that copy lies in the full factor iff it lies in the pruned one:
+    one test tells whether the H-orbits coincide in either form."""
     a, c, d = raw
-    first = (_a_set(a), _cd_set(c, d))
+    first = (frozenset(signed(a)), _cd_set(c, d, signed))
     a2, c2, d2 = _apply_alternate(raw)
-    if a2 in first[0] and (c2, d2) in first[1]:
+    if _lead(a2) in first[0] and (_lead(c2), _lead(d2)) in first[1]:
         return (first,)
-    return first, (_a_set(a2), _cd_set(c2, d2))
+    return first, (frozenset(signed(a2)), _cd_set(c2, d2, signed))
 
 
 def orbit_raw(raw: Raw) -> frozenset[Raw]:
@@ -305,7 +329,18 @@ def is_canonical(quad: NormalQuadruple) -> bool:
 
 
 def canonical_raw(raw: Raw) -> Raw:
-    halves = _h_orbits(raw)
+    """The orbit's one member that meets all twelve conditions.
+
+    The scan reads only the members whose A, C and D all start with +1
+    (_h_orbits with _leads): at most 2 A's and 16 (C;D)'s per H-orbit,
+    in place of 4 and 64.  The count stays exact, because every
+    canonical member is among them: (i) and (vi) need a_1 = c_1 = d_1 =
+    +1 for n > 1, and for n = 1 (iv) needs a_1 = +1 and (xi) and (xii)
+    c_1 = d_1 = +1 (see the module docstring).  The full orbit's size,
+    which the error names, is counted only when there is no single
+    canonical member.
+    """
+    halves = _h_orbits(raw, _leads)
     canonical = []
     for xs, cds in halves:
         a_ok = [x for x in xs if _aa_may_be_canonical(x) and _aa_violation(x) is None]
@@ -317,7 +352,7 @@ def canonical_raw(raw: Raw) -> Raw:
     if len(canonical) != 1:
         # a (C;D) side outside the eight quads fails as the full scan would
         quad_labels(*raw[1:])
-        size = sum(len(xs) * len(cds) for xs, cds in halves)
+        size = sum(len(xs) * len(cds) for xs, cds in _h_orbits(raw))
         raise CanonicalFormError(
             f"orbit of size {size} has {len(canonical)} canonical members,"
             " expected exactly one"

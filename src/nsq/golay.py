@@ -10,10 +10,8 @@ C = D, and golay_type_class_count counts those classes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import search
-from .core import BinarySeq, NormalQuadruple, alternate, negate, npaf, reverse
+from .core import BinarySeq, NormalQuadruple, _Value, alternate, negate, npaf, reverse
 from .equivalence import are_equivalent, orbit_raw
 from .equivalence import canonical_raw  # noqa: F401  (perfbench/nsq_trace.py wraps it here)
 
@@ -23,19 +21,19 @@ class GolayError(ValueError):
     C = D (must never happen)."""
 
 
-@dataclass(frozen=True)
-class GolayPair:
+class GolayPair(_Value):
     """Two sequences whose autocorrelations cancel at every nonzero shift."""
 
-    a: BinarySeq
-    b: BinarySeq
+    __slots__ = _fields = ("a", "b")
 
-    def __post_init__(self):
-        if len(self.a) != len(self.b):
+    def __init__(self, a: BinarySeq, b: BinarySeq):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if len(a) != len(b):
             raise GolayError("the two sequences must share one length")
-        na = npaf(self.a)
-        nb = npaf(self.b)
-        if any(na[i] + nb[i] != 0 for i in range(1, len(self.a))):
+        na = npaf(a)
+        nb = npaf(b)
+        if any(na[i] + nb[i] != 0 for i in range(1, len(a))):
             raise GolayError("autocorrelations do not cancel; not a Golay pair")
 
     @property

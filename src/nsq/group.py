@@ -9,10 +9,10 @@ action is unambiguous and the presentation is verified against it."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
-from .core import NormalQuadruple
+from .core import NormalQuadruple, _Value
 from .equivalence import (
     _RAW_APPLIERS,
     TRANSFORMS,
@@ -27,16 +27,16 @@ from .tables import load_tables
 Raw = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Value):
     """A group element given as a word in the nine generators."""
 
-    word: tuple[Transform, ...]
+    __slots__ = ("word", "_steps")
+    _fields = ("word",)
 
-    @cached_property
-    def _steps(self):
+    def __init__(self, word: tuple[Transform, ...]):
+        object.__setattr__(self, "word", word)
         # the word's appliers in the order they act, looked up once
-        return tuple(_RAW_APPLIERS[t] for t in reversed(self.word))
+        object.__setattr__(self, "_steps", tuple(_RAW_APPLIERS[t] for t in reversed(word)))
 
     def act_raw(self, raw: Raw) -> Raw:
         for step in self._steps:
@@ -113,8 +113,7 @@ def realized_order(n: int) -> int:
     return len(seen)
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     name: str
     n: int
     status: str  # PASS, FAIL or UNVERIFIABLE

@@ -8,9 +8,7 @@ label appended when present.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import BinarySeq, NormalQuadruple, is_normal
+from .core import BinarySeq, NormalQuadruple, _Value, is_normal
 
 
 class CodeError(ValueError):
@@ -56,32 +54,32 @@ def symmetry_type(quad: int) -> str:
     raise CodeError(f"no quad labelled {quad!r}")
 
 
-@dataclass(frozen=True)
-class QuadCode:
+class QuadCode(_Value):
     """Digit encoding of one sequence pair.
 
     kind is "aa" for a repeated pair (X;X), which restricts the alphabet
     to {1,3,6,8} and the central label to {0,3}; "cd" allows everything.
     """
 
-    quads: tuple[int, ...]
-    central: int | None
-    kind: str
+    __slots__ = _fields = ("quads", "central", "kind")
 
-    def __post_init__(self):
-        if self.kind not in ("aa", "cd"):
-            raise CodeError(f"unknown code kind {self.kind!r}")
-        for q in self.quads:
+    def __init__(self, quads: tuple[int, ...], central: int | None, kind: str):
+        object.__setattr__(self, "quads", quads)
+        object.__setattr__(self, "central", central)
+        object.__setattr__(self, "kind", kind)
+        if kind not in ("aa", "cd"):
+            raise CodeError(f"unknown code kind {kind!r}")
+        for q in quads:
             if q not in QUAD_MATRICES:
                 raise CodeError(f"{q} is not a quad label")
-            if self.kind == "aa" and q not in AA_QUADS:
+            if kind == "aa" and q not in AA_QUADS:
                 raise CodeError(f"{q} is not a quad of a repeated pair")
-        if self.central is not None:
-            if self.central not in CENTRAL_COLUMNS:
-                raise CodeError(f"{self.central} is not a central-column label")
-            if self.kind == "aa" and self.central not in AA_CENTRALS:
-                raise CodeError(f"{self.central} is not a central of a repeated pair")
-        if not self.quads and self.central is None:
+        if central is not None:
+            if central not in CENTRAL_COLUMNS:
+                raise CodeError(f"{central} is not a central-column label")
+            if kind == "aa" and central not in AA_CENTRALS:
+                raise CodeError(f"{central} is not a central of a repeated pair")
+        if not quads and central is None:
             raise CodeError("empty code")
 
     @property

@@ -11,8 +11,8 @@ independent sequence-level predicates before it is emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import NormalQuadruple, is_normal, three_squares_feasible
 from .equivalence import _golay_type, canonical_raw, canonical_violation
@@ -24,8 +24,7 @@ class SearchError(RuntimeError):
     """An enumeration leaf failed re-verification (must never happen)."""
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     """One equivalence class: its canonical representative in code form."""
 
     n: int

@@ -8,9 +8,9 @@ absorbed."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .equivalence import (
     CanonicalFormError,
@@ -33,16 +33,14 @@ class TableError(ValueError):
     """Raised for malformed or internally inconsistent table data."""
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(NamedTuple):
     n: int
     equ: int
     gol: int
     spo: int
 
 
-@dataclass(frozen=True)
-class RepRow:
+class RepRow(NamedTuple):
     n: int
     index: int
     p_code: str
@@ -50,8 +48,7 @@ class RepRow:
     tag: str  # G, S or ?
 
 
-@dataclass(frozen=True)
-class ReferenceTables:
+class ReferenceTables(NamedTuple):
     counts: dict[int, CountRow]
     reps: tuple[RepRow, ...]
 
@@ -146,8 +143,7 @@ def load_allowlist(path: str | Path | None = None) -> set[tuple[int, int, str]]:
     return entries
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     n: int
     index: int
     check: str
@@ -159,10 +155,21 @@ class Finding:
         return f"[{marker}] n={self.n} row {self.index} {self.check}: {self.detail}"
 
 
-@dataclass
 class TableReport:
-    findings: list[Finding] = field(default_factory=list)
-    checked_rows: int = 0
+    """What verify_tables found, and how many rows it checked."""
+
+    __slots__ = ("findings", "checked_rows")
+
+    def __init__(self, findings: list[Finding] | None = None, checked_rows: int = 0):
+        self.findings = [] if findings is None else findings
+        self.checked_rows = checked_rows
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.findings, self.checked_rows) == (other.findings, other.checked_rows)
+        return NotImplemented
+
+    __hash__ = None  # mutable
 
     def add(self, n, index, check, detail, allowlist):
         self.findings.append(
@@ -243,8 +250,7 @@ def verify_tables(
     return report
 
 
-@dataclass(frozen=True)
-class DiffReport:
+class DiffReport(NamedTuple):
     n: int
     missing: tuple[tuple[str, str], ...]   # in the table, not found by search
     extra: tuple[tuple[str, str], ...]     # found by search, not in the table

@@ -19,6 +19,8 @@ from nsq.core import (
     reverse,
     three_squares_feasible,
 )
+from nsq.equivalence import orbit_raw
+from nsq.search import enumerate_classes, record_quadruple
 
 seqs = st.lists(st.sampled_from((1, -1)), min_size=1, max_size=24).map(
     lambda t: BinarySeq(tuple(t))
@@ -181,6 +183,29 @@ class TestBasePredicates:
         assert is_normal(quad)
         two = BinarySeq.parse("++")
         assert not is_normal(NormalQuadruple(two, two, two))
+
+    def test_is_normal_is_a_flat_npaf_sum(self, valid_pool):
+        # is_normal sums the three tables on the terms; the reference reads
+        # npaf_sum's table.  Every member of every class for n <= 12, and a
+        # neighbour of each with one term flipped, the flipped position
+        # cycling through all 3n along the members.
+        members = list(valid_pool)
+        for n in (11, 12):
+            for record in enumerate_classes(n):
+                members.extend(sorted(orbit_raw(record_quadruple(record).raw())))
+        verdicts = set()
+        for k, raw in enumerate(members):
+            n = len(raw[0])
+            side, i = divmod(k % (3 * n), n)
+            flipped = list(raw)
+            flipped[side] = raw[side][:i] + (-raw[side][i],) + raw[side][i + 1 :]
+            for triple in (raw, flipped):
+                quad = NormalQuadruple.from_raw(triple)
+                expected = not any(npaf_sum(quad).values[1:])
+                assert is_normal(quad) == expected, triple
+                verdicts.add((n, expected))
+        lengths = set(range(1, 13)) - {6}  # NS(6) is empty
+        assert verdicts == {(n, v) for n in lengths for v in (True, False)} - {(1, False)}
 
 
 class TestThreeSquares:

@@ -75,6 +75,24 @@ def test_command_without_search_loads_no_numpy(argv, unused):
     assert not ({"numpy", "nsq._engine"} | unused) & modules
 
 
+@pytest.mark.parametrize("argv", [
+    ("npaf", "++-+"),
+    ("canon", "16", "61"),
+    ("decode", "16", "61"),
+    ("verify-tables",),
+    ("verify-relations",),
+    ("search", "--n", "8", "--threads", "1"),
+    ("golay", "--n", "8", "--count-classes"),
+])
+def test_command_loads_no_dataclasses(argv):
+    # dataclasses imports inspect, and each frozen dataclass generates its
+    # methods at import: about 1 ms a class.  numpy imports inspect itself.
+    modules = loaded(CLI, *argv)
+    assert "dataclasses" not in modules
+    if "numpy" not in modules:
+        assert "inspect" not in modules
+
+
 def test_serial_search_loads_no_pool():
     modules = loaded(CLI, "search", "--n", "8", "--threads", "1")
     assert {"numpy", "nsq._engine", "nsq.search"} <= modules

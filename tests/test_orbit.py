@@ -221,11 +221,21 @@ def test_split_violation_matches_on_every_representative_orbit(rows):
 
 
 @pytest.mark.parametrize("n", range(1, 41))
-def test_canonical_raw_matches_the_staged_full_scan(n):
+def test_canonical_raw_matches_the_staged_full_scan(n, valid_pool, rows):
     # the probes are quad-regular but not normal, so their orbits hold
     # any number of canonical members; the error text must agree too
     for raw in probe_triples(n):
         assert outcome(canonical_raw, raw) == outcome(canonical_oracle, raw), raw
+    # normal inputs: every member of every orbit in valid_pool and of
+    # every bundled row's orbit, against the oracle's one winner per orbit
+    seen = set()
+    for raw in valid_pool + rows:
+        if len(raw[0]) == n and raw not in seen:
+            members = orbit_raw(raw)
+            seen |= members
+            winner = canonical_oracle(raw)
+            for member in members:
+                assert canonical_raw(member) == winner, member
 
 
 def test_golay_type_is_some_orbit_member_with_c_equal_d(rows):
