@@ -610,14 +610,17 @@ def _prepare(n: int) -> Callable[[tuple[int, int]], dict]:
             return _sweep(block, n, k, aa, sweep_levels[k])
 
         held: list[_Block] = []  # completed A's that passed, not yet placed
+        waiting = 0  # how many A's held holds
         leaves: list[dict] = []
         for head in _descend(_root(n), 0, split, sweep):
             for block in _descend(head.take(slice(i, None, w)), split, n - m, sweep):
                 keep = _psd_keep(_spell(block.syms, n, PSD_FLOAT), n, tables)
                 if len(keep):
                     held.append(block.take(keep))
-                if sum(map(len, held)) >= CHUNK:
+                    waiting += len(keep)
+                if waiting >= CHUNK:
                     leaves.extend(place(held))
+                    waiting = 0
         block = None  # the last swept block, freed before the last placement
         if held:
             leaves.extend(place(held))

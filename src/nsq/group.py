@@ -4,11 +4,47 @@ defining relations, and the orbits-equal-classes comparison.
 
 The group is realised as a transformation group (closure of the concrete
 generator actions) rather than through its abstract presentation; the
-action is unambiguous and the presentation is verified against it."""
+action is unambiguous and the presentation is verified against it.  It
+acts on the quad-regular triples (a, c, d) of length n: any A, and a
+(C;D) that cuts into the eight labelled quads.  The generators preserve
+them: a quad is labelled iff the products of its two rows agree, and
+every generator keeps them equal.
+
+Lemma (pair locality).  Let m = n // 2.  Each applier in _RAW_APPLIERS
+maps positions {i, n-1-i} of A, C and D, for i < m, to themselves, and
+its output there depends only on the entries there, on i mod 2 and on n
+mod 2.  For odd n the central position m is its own piece in the same
+way.  Proof: negate_x negates x in place and reverse_x swaps x_i with
+x_{n-1-i}; swap_cd swaps C and D in place; quad_swap_45 negates the C
+and D entries of one pair at a time, reading that pair's entries only;
+alternate_all multiplies position i by (-1)^i and n-1-i by (-1)^(n-1-i)
+= (-1)^(n-1+i), and the central by the fixed sign (-1)^m.  So a word in
+the generators, a composition of such maps, is local in the same way.
+
+Consequences, at one n:
+- Two words act alike on every quad-regular triple iff they act alike on
+  the 32 covering triples (_covering_triples): triple s puts A-label
+  (1, 3, 6, 8)[s // 8] and (C;D)-label s % 8 + 1 at every pair, and for
+  odd n the centrals (0, 3)[s % 2] and s // 2 % 4.  Every local piece of
+  a quad-regular triple, one of 4 x 8 at each pair and 2 x 4 at the
+  central, appears at the same position in some covering triple, so by
+  the lemma each word's image there is its image on that triple.  So a
+  relation that holds on the covering set is proved at that n, and one
+  that fails has a counterexample there.
+- The action on the covering set is faithful, so the closure of the 32
+  triples under the generators has exactly the group's order.
+- A word acts as the identity at n iff it does at n' = min(n, 4 +
+  n % 2), so the group is the same there.  A word is the identity iff
+  its map on every piece is.  For n >= 4 pairs of both parities occur, and
+  their maps, which depend only on i mod 2 and n mod 2, are the same at
+  n and n'.  For odd n >= 5 the central's map follows from them: it is
+  the map of a pair with i = m (mod 2) restricted to equal entries x_i =
+  x_{n-1-i}, on which the reversals and quad_swap_45 act as the identity
+  and alternate_all multiplies both entries by (-1)^m.
+"""
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -21,8 +57,7 @@ from .equivalence import (
     canonical_raw,
     orbit_raw,
 )
-from .quadcodec import MAX_N, QuadCode, compose_pair, decode_quadruple, parse_code
-from .tables import load_tables
+from .quadcodec import MAX_N, QuadCode, compose_pair
 
 Raw = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -56,49 +91,23 @@ def generators(n: int) -> list[GroupElement]:
     return [GroupElement((tag,)) for tag in TRANSFORMS]
 
 
-_PROBE_SEED = 411217
-_PROBE_COUNT = 4
+def _covering_triples(n: int) -> tuple[Raw, ...]:
+    """The 32 quad-regular triples that decide the group's action at n
+    (module docstring): every (A-label, (C;D)-label) at every pair, and
+    for odd n every pair of centrals."""
+    m, odd = n // 2, n % 2 == 1
+    triples = []
+    for s in range(32):
+        p = QuadCode(((1, 3, 6, 8)[s // 8],) * m, (0, 3)[s % 2] if odd else None, "aa")
+        q = QuadCode((s % 8 + 1,) * m, s // 2 % 4 if odd else None, "cd")
+        a, _ = compose_pair(p)
+        c, d = compose_pair(q)
+        triples.append((a.terms, c.terms, d.terms))
+    return tuple(triples)
 
 
-def _random_quad_regular(n: int, rng: random.Random) -> Raw:
-    """A generic quadruple-shaped triple whose (C;D) side decomposes into
-    the eight labelled quads.
-
-    The group's defining relations involve the quad 4<->5 swap, which is
-    defined through the quad encoding; they hold on this space (and in
-    particular on every normal quadruple) but not on arbitrary sign
-    patterns, so probes and samples are drawn here.
-    """
-    m = n // 2
-    p = QuadCode(
-        tuple(rng.choice((1, 3, 6, 8)) for _ in range(m)),
-        rng.choice((0, 3)) if n % 2 else None,
-        "aa",
-    )
-    q = QuadCode(
-        tuple(rng.randrange(1, 9) for _ in range(m)),
-        rng.randrange(4) if n % 2 else None,
-        "cd",
-    )
-    a, _ = compose_pair(p)
-    c, d = compose_pair(q)
-    return (a.terms, c.terms, d.terms)
-
-
-def _probe(n: int) -> tuple[Raw, ...]:
-    # Fixed pseudo-random patterns; several generic triples so no
-    # accidental stabiliser hides part of the group.
-    rng = random.Random(_PROBE_SEED + n)
-    return tuple(_random_quad_regular(n, rng) for _ in range(_PROBE_COUNT))
-
-
-@lru_cache(maxsize=64)
-def realized_order(n: int) -> int:
-    """Size of the transformation group the nine generators generate,
-    computed as the closure of the action on a fixed generic probe."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    state = _probe(n)
+def _closure_order(state: tuple[Raw, ...]) -> int:
+    """How many images the generators' closure gives the tuple state."""
     seen = {state}
     frontier = [state]
     while frontier:
@@ -111,6 +120,17 @@ def realized_order(n: int) -> int:
                     nxt.append(image)
         frontier = nxt
     return len(seen)
+
+
+@lru_cache(maxsize=64)
+def realized_order(n: int) -> int:
+    """Order of the transformation group the nine generators generate on
+    the quad-regular triples of length n: the closure of the covering
+    triples, on which the action is faithful, taken at min(n, 4 + n % 2),
+    where the group is the same (module docstring)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return _closure_order(_covering_triples(min(n, 4 + n % 2)))
 
 
 class RelationCheck(NamedTuple):
@@ -182,44 +202,27 @@ def _relations(n: int):
     return rel, conjectured
 
 
-# The relations are checked on _RELATION_CASES random triples drawn from
-# a generator seeded with _RELATION_SEED + n.  They depend on n only
-# through its parity, so lengths past the paper's range are refused.
-_RELATION_SEED = 5417
-_RELATION_CASES = 200
-
-
-def _relation_samples(n: int) -> list[Raw]:
-    rng = random.Random(_RELATION_SEED + n)
-    samples = [_random_quad_regular(n, rng) for _ in range(_RELATION_CASES)]
-    # Mix in valid quadruples, one orbit per bundled representative up to
-    # n = 13, so the relations are also exercised where they matter.
-    if n <= 13:
-        for row in load_tables().reps_for(n):
-            raw = decode_quadruple(*parse_code(f"{row.p_code} {row.q_code}", n=n)).raw()
-            samples.extend(sorted(orbit_raw(raw))[:64])
-    return samples
-
-
 def verify_relations(n: int) -> list[RelationCheck]:
-    """Check every unambiguous stated relation on sampled quadruples.
+    """Check every unambiguous stated relation at length n on the covering
+    triples, which proves it there (module docstring): PASS means it
+    holds on every quad-regular triple of length n.
 
     One stated relation contains an undefined factor and cannot be
-    checked as written; it is reported UNVERIFIABLE and an empirically
-    validated replacement is checked instead.
+    checked as written; it is reported UNVERIFIABLE and a conjectured
+    replacement is checked instead.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_N:
         raise ValueError(f"n must be at most {MAX_N}")
-    samples = _relation_samples(n)
+    covering = _covering_triples(n)
     stated, conjectured = _relations(n)
 
     def check(
         name: str, lhs: tuple[Transform, ...], rhs: tuple[Transform, ...]
     ) -> RelationCheck:
         left, right = GroupElement(lhs), GroupElement(rhs)
-        bad = next((s for s in samples if left.act_raw(s) != right.act_raw(s)), None)
+        bad = next((s for s in covering if left.act_raw(s) != right.act_raw(s)), None)
         if bad is None:
             return RelationCheck(name, n, "PASS")
         return RelationCheck(name, n, "FAIL", f"counterexample {bad}")

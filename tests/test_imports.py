@@ -69,10 +69,21 @@ def test_help_loads_no_submodule():
 @pytest.mark.parametrize("argv, unused", [
     (("npaf", "++-+"), {"nsq.search", "nsq.golay", "nsq.group", "nsq.tables"}),
     (("verify-tables",), {"nsq.search", "nsq.golay", "nsq.group"}),
+    (("verify-relations",), {"nsq.search", "nsq.golay", "nsq.tables"}),
 ])
 def test_command_without_search_loads_no_numpy(argv, unused):
     modules = loaded(CLI, *argv)
     assert not ({"numpy", "nsq._engine"} | unused) & modules
+
+
+def test_relation_checks_read_no_tables():
+    # The relations are proved on covering triples built from quad codes,
+    # so checking them neither loads the bundled tables nor searches.
+    modules = loaded(
+        "import sys; from nsq.group import verify_relations;"
+        " verify_relations(4); verify_relations(5); print(*sys.modules)"
+    )
+    assert not {"nsq.tables", "nsq.search", "numpy", "nsq._engine"} & modules
 
 
 @pytest.mark.parametrize("argv", [

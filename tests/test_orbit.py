@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from conftest import random_quad_regular
 from nsq import equivalence
 from nsq.core import NormalQuadruple
 from nsq.equivalence import (
@@ -33,7 +34,6 @@ from nsq.equivalence import (
     is_golay_type,
     orbit_raw,
 )
-from nsq.group import _probe, _random_quad_regular
 from nsq.quadcodec import SYMMETRIC_QUADS, CodeError, decode_quadruple, parse_code, quad_labels
 from nsq.tables import load_tables
 
@@ -182,7 +182,7 @@ def rows():
 
 def probe_triples(n):
     rng = random.Random(7919 + n)
-    return list(_probe(n)) + [_random_quad_regular(n, rng) for _ in range(2)]
+    return [random_quad_regular(n, rng) for _ in range(6)]
 
 
 @pytest.mark.parametrize("n", range(1, 41))
@@ -259,7 +259,7 @@ def test_golay_type_on_valid_pool(valid_pool, rows):
 def test_pre_check_is_necessary(valid_pool, rng):
     triples = list(valid_pool)
     for _ in range(10):
-        triples.extend(orbit_raw(_random_quad_regular(rng.randrange(1, 16), rng)))
+        triples.extend(orbit_raw(random_quad_regular(rng.randrange(1, 16), rng)))
     for a, c, d in triples:
         if _aa_violation(a) is None:
             assert _aa_may_be_canonical(a), a
